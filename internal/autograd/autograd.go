@@ -51,10 +51,9 @@ func NewLeaf(t *tensor.Tensor, requiresGrad bool) *Value {
 // Constant wraps t as a leaf that does not require gradients.
 func Constant(t *tensor.Tensor) *Value { return NewLeaf(t, false) }
 
-// RequiresGrad reports whether gradients flow to this node.
-func (v *Value) RequiresGrad() bool { return v.requiresGrad }
-
-func newOp(label string, data *tensor.Tensor, parents ...*Value) *Value {
+// newPooledOp creates an op node whose output is drawn from the tensor
+// arena; Backward recycles its Data once the sweep completes.
+func newPooledOp(label string, data *tensor.Tensor, parents ...*Value) *Value {
 	rg := false
 	for _, p := range parents {
 		if p.requiresGrad {
@@ -62,15 +61,7 @@ func newOp(label string, data *tensor.Tensor, parents ...*Value) *Value {
 			break
 		}
 	}
-	return &Value{Data: data, requiresGrad: rg, parents: parents, label: label}
-}
-
-// newPooledOp is newOp for outputs drawn from the tensor arena; Backward
-// recycles their Data once the sweep completes.
-func newPooledOp(label string, data *tensor.Tensor, parents ...*Value) *Value {
-	v := newOp(label, data, parents...)
-	v.pooled = true
-	return v
+	return &Value{Data: data, requiresGrad: rg, parents: parents, label: label, pooled: true}
 }
 
 func (v *Value) ensureGrad() {
@@ -220,25 +211,6 @@ func Tanh(a *Value) *Value {
 	return out
 }
 
-// Mean returns the scalar mean of all elements as a 1-element value.
-func Mean(a *Value) *Value {
-	data := tensor.GetPooledDirty(1)
-	data.Data[0] = a.Data.Mean()
-	out := newPooledOp("mean", data, a)
-	out.backward = func() {
-		if !a.requiresGrad {
-			return
-		}
-		c := out.Grad.Data[0] / float64(a.Data.Len())
-		g := tensor.GetPooledDirty(a.Data.Shape...)
-		for i := range g.Data {
-			g.Data[i] = c
-		}
-		accumTemp(a, g)
-	}
-	return out
-}
-
 // SumSquares returns the scalar sum of squared elements (for L2 terms).
 func SumSquares(a *Value) *Value {
 	data := tensor.GetPooledDirty(1)
@@ -323,63 +295,6 @@ func MSE(a *Value, target *tensor.Tensor) *Value {
 	return out
 }
 
-// Transpose2D returns the transpose of a rank-2 value.
-func Transpose2D(a *Value) *Value {
-	out := newPooledOp("transpose", tensor.TransposeInto(tensor.GetPooledDirty(a.Data.Shape[1], a.Data.Shape[0]), a.Data), a)
-	out.backward = func() {
-		if a.requiresGrad {
-			accumTemp(a, tensor.TransposeInto(tensor.GetPooledDirty(a.Data.Shape...), out.Grad))
-		}
-	}
-	return out
-}
-
-// Reshape reinterprets a value's data under a new shape with the same
-// element count; gradients flow back under the original shape.
-func Reshape(a *Value, shape ...int) *Value {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != a.Data.Len() {
-		panic(fmt.Sprintf("autograd: Reshape %v to %v", a.Data.Shape, shape))
-	}
-	data := tensor.GetPooledDirty(shape...)
-	copy(data.Data, a.Data.Data)
-	out := newPooledOp("reshape", data, a)
-	out.backward = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := tensor.GetPooledDirty(a.Data.Shape...)
-		copy(g.Data, out.Grad.Data)
-		accumTemp(a, g)
-	}
-	return out
-}
-
-// Custom creates a node with a user-supplied backward function: given the
-// node's output gradient it must return one gradient tensor per parent (nil
-// entries are skipped). This is the extension point used by layers whose
-// backward pass is cheaper to write directly (im2col, pooling). Both data
-// and the returned gradients remain caller-owned: the arena never recycles
-// them.
-func Custom(label string, data *tensor.Tensor, parents []*Value, back func(grad *tensor.Tensor, parents []*Value) []*tensor.Tensor) *Value {
-	out := newOp(label, data, parents...)
-	out.backward = func() {
-		grads := back(out.Grad, parents)
-		if len(grads) != len(parents) {
-			panic(fmt.Sprintf("autograd: Custom %q returned %d gradients for %d parents", label, len(grads), len(parents)))
-		}
-		for i, g := range grads {
-			if g != nil {
-				accumulate(parents[i], g)
-			}
-		}
-	}
-	return out
-}
-
 // Item returns the scalar payload of a 1-element value.
 func (v *Value) Item() float64 {
 	if v.Data.Len() != 1 {
@@ -389,7 +304,7 @@ func (v *Value) Item() float64 {
 }
 
 // Backward runs reverse-mode autodiff from v, which must be scalar.
-// Gradients accumulate into every reachable node with RequiresGrad.
+// Gradients accumulate into every reachable node that requires them.
 //
 // After the sweep the graph's intermediate buffers are returned to the
 // tensor arena: every non-leaf node loses its Grad, and every pooled op

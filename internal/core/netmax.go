@@ -15,7 +15,6 @@ package core
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"netmax/internal/engine"
 	"netmax/internal/monitor"
@@ -239,10 +238,7 @@ func withParallelism(cfg *engine.Config, opts Options) *engine.Config {
 // Run trains with NetMax under cfg and returns the aggregated result.
 func Run(cfg *engine.Config, opts Options) *engine.Result {
 	cfg = withParallelism(cfg, opts)
-	b := newBehavior(cfg, opts)
-	r := engine.RunAsync(cfg, b, "NetMax")
-	debugRegens.Store(int64(b.mon.Regenerations))
-	return r
+	return engine.RunAsync(cfg, newBehavior(cfg, opts), "NetMax")
 }
 
 // RunADPSGDMonitor trains with the Section III-D extension: adaptive policy
@@ -255,12 +251,3 @@ func RunADPSGDMonitor(cfg *engine.Config, opts Options) *engine.Result {
 
 // Monitor exposes the behavior's monitor for observability in tests.
 func (b *behavior) Monitor() *monitor.Monitor { return b.mon }
-
-// debugRegens records the regeneration count of the most recent Run for
-// diagnostics; atomic because the experiment driver runs algorithms
-// concurrently. Not for production use.
-var debugRegens atomic.Int64
-
-// DebugRegens returns the Network Monitor regeneration count of the most
-// recently finished Run.
-func DebugRegens() int { return int(debugRegens.Load()) }

@@ -45,6 +45,16 @@ func (d *Dataset) Slice(idx []int) *Dataset {
 	return &Dataset{Name: d.Name, X: x, Labels: labels, Classes: d.Classes}
 }
 
+// EvalSubset returns a copy of the first min(400, Len()) examples: the fixed
+// training subset on which every run measures its training loss.
+func (d *Dataset) EvalSubset() *Dataset {
+	idx := make([]int, min(400, d.Len()))
+	for i := range idx {
+		idx[i] = i
+	}
+	return d.Slice(idx)
+}
+
 // Batch copies rows [start, start+size) wrapping around the dataset.
 func (d *Dataset) Batch(start, size int) (*tensor.Tensor, []int) {
 	dim := d.Dim()

@@ -81,6 +81,24 @@ func TestSliceCopies(t *testing.T) {
 	}
 }
 
+func TestEvalSubsetIsLeadingPrefix(t *testing.T) {
+	train, _ := SynthMNIST.Generate(3)
+	ev := train.EvalSubset()
+	if ev.Len() != 400 {
+		t.Fatalf("eval subset has %d examples, want 400", ev.Len())
+	}
+	dim := train.Dim()
+	for i := 0; i < ev.Len(); i++ {
+		if ev.Labels[i] != train.Labels[i] || ev.X.Data[i*dim] != train.X.Data[i*dim] {
+			t.Fatalf("eval example %d is not training example %d", i, i)
+		}
+	}
+	small := train.Slice([]int{5, 6, 7})
+	if got := small.EvalSubset().Len(); got != 3 {
+		t.Fatalf("eval subset of a 3-example set has %d examples", got)
+	}
+}
+
 func TestUniformPartition(t *testing.T) {
 	train, _ := SynthMNIST.Generate(5)
 	p := Uniform(train, 8, 1)

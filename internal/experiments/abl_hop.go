@@ -8,6 +8,7 @@ import (
 	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
+	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
 
@@ -45,7 +46,7 @@ func runAblHop(opt Options) (*Result, error) {
 		{"Hop (s=8)", func() *engine.Result { return baselines.RunHop(p.config(opt.Seed+5), 8) }},
 		{"AD-PSGD", func() *engine.Result { return baselines.RunADPSGD(p.config(opt.Seed + 5)) }},
 		{"NetMax", func() *engine.Result {
-			return core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs})
+			return core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs})
 		}},
 	} {
 		r := a.run()

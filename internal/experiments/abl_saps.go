@@ -5,6 +5,7 @@ import (
 	"netmax/internal/core"
 	"netmax/internal/data"
 	"netmax/internal/nn"
+	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
 
@@ -42,14 +43,14 @@ func runAblSAPS(opt Options) (*Result, error) {
 		// fraction of each regime, short enough that a 40-epoch run spans
 		// many regimes for averaging.
 		{"shuffled rates", func(seed int64) *simnet.Network {
-			return simnet.NewShuffledRates(topo, seed, 1e7, 2*SlowPeriod)
+			return simnet.NewShuffledRates(topo, seed, 1e7, 2*scenario.DefaultSlowPeriod)
 		}},
 	} {
 		var sapsT, sapsC, nmT, nmC float64
 		for _, ns := range netSeeds {
 			p := cfgParams{spec: nn.SimResNet18, wl: wl, net: netcase.net, epochs: epochs, overlap: true, seed: opt.Seed + 3}
 			saps := baselines.RunSAPS(p.config(ns))
-			netmax := core.Run(p.config(ns), core.Options{Ts: MonitorTs})
+			netmax := core.Run(p.config(ns), core.Options{Ts: scenario.DefaultMonitorTs})
 			sapsT += saps.TotalTime / float64(len(netSeeds))
 			sapsC += saps.CommCostPerEpoch(workers) / float64(len(netSeeds))
 			nmT += netmax.TotalTime / float64(len(netSeeds))
@@ -73,7 +74,7 @@ func runAblDPSGD(opt Options) (*Result, error) {
 	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
 	p := cfgParams{spec: nn.SimResNet18, wl: wl, net: hetNet(workers), epochs: epochs, overlap: true, seed: opt.Seed + 3}
 	dpsgd := baselines.RunSyncDPSGD(p.config(opt.Seed + 5))
-	netmax := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs})
+	netmax := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs})
 	res := &Result{
 		ID:     "abl-dpsgd",
 		Title:  "Synchronous D-PSGD vs NetMax, heterogeneous network",

@@ -6,6 +6,7 @@ import (
 	"netmax/internal/core"
 	"netmax/internal/data"
 	"netmax/internal/nn"
+	"netmax/internal/scenario"
 )
 
 func init() {
@@ -27,8 +28,8 @@ func ablConfig(opt Options, epochs int) cfgParams {
 func runAblBlend(opt Options) (*Result, error) {
 	epochs := scaleEpochs(30, opt)
 	p := ablConfig(opt, epochs)
-	scaled := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs})
-	fixed := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs, FixedBlend: true})
+	scaled := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs})
+	fixed := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs, FixedBlend: true})
 	res := &Result{
 		ID:     "abl-blend",
 		Title:  "Consensus blend weight ablation",
@@ -52,7 +53,8 @@ func runAblTs(opt Options) (*Result, error) {
 		Title:  "Monitor period Ts sweep (seconds, simulator scale)",
 		Header: []string{"Ts", "total time (s)", "comm cost/epoch (s)"},
 	}
-	for _, ts := range []float64{MonitorTs / 4, MonitorTs, MonitorTs * 4, MonitorTs * 16} {
+	const ts0 = scenario.DefaultMonitorTs
+	for _, ts := range []float64{ts0 / 4, ts0, ts0 * 4, ts0 * 16} {
 		p := ablConfig(opt, epochs)
 		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: ts})
 		res.Rows = append(res.Rows, []string{f2(ts), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
@@ -72,7 +74,7 @@ func runAblBeta(opt Options) (*Result, error) {
 	}
 	for _, beta := range []float64{0.1, 0.5, 0.9} {
 		p := ablConfig(opt, epochs)
-		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs, Beta: beta})
+		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs, Beta: beta})
 		res.Rows = append(res.Rows, []string{f2(beta), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
 	}
 	return res, nil
@@ -89,7 +91,7 @@ func runAblRounds(opt Options) (*Result, error) {
 	}
 	for _, k := range []int{3, 10, 20} {
 		p := ablConfig(opt, epochs)
-		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs, PolicyRounds: k})
+		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs, PolicyRounds: k})
 		res.Rows = append(res.Rows, []string{fmt.Sprint(k), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
 	}
 	return res, nil

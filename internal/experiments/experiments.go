@@ -19,19 +19,9 @@ import (
 	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
+	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
-
-// TimeScale relates the simulator's clock to the paper's: our epochs run
-// ~50x faster than the paper's GPU epochs, so every wall-clock-periodic
-// mechanism is scaled by the same factor to keep dynamics-per-epoch equal.
-const TimeScale = 50.0
-
-// MonitorTs is the Network Monitor period: the paper's 120s over TimeScale.
-const MonitorTs = 120.0 / TimeScale
-
-// SlowPeriod is the slow-link relocation period: the paper's 300s scaled.
-const SlowPeriod = 300.0 / TimeScale
 
 // Options tunes an experiment run.
 type Options struct {
@@ -103,7 +93,7 @@ type algo struct {
 
 func netmaxAlgo() algo {
 	return algo{"NetMax", func(cfg *engine.Config) *engine.Result {
-		return core.Run(cfg, core.Options{Ts: MonitorTs})
+		return core.Run(cfg, core.Options{Ts: scenario.DefaultMonitorTs})
 	}}
 }
 
@@ -137,17 +127,9 @@ type workload struct {
 
 func buildWorkload(ds data.Spec, workers int, seed int64) *workload {
 	train, test := ds.Generate(seed)
-	evalN := 400
-	if evalN > train.Len() {
-		evalN = train.Len()
-	}
-	idx := make([]int, evalN)
-	for i := range idx {
-		idx[i] = i
-	}
 	return &workload{
 		part: data.Uniform(train, workers, seed),
-		eval: train.Slice(idx),
+		eval: train.EvalSubset(),
 		test: test,
 	}
 }
@@ -205,7 +187,7 @@ func (p cfgParams) config(netSeed int64) *engine.Config {
 func hetNet(workers int) func(seed int64) *simnet.Network {
 	topo := simnet.PaperCluster(workers)
 	return func(seed int64) *simnet.Network {
-		return simnet.NewHeterogeneousPeriod(topo, seed, 1e7, SlowPeriod)
+		return simnet.NewHeterogeneousPeriod(topo, seed, 1e7, scenario.DefaultSlowPeriod)
 	}
 }
 

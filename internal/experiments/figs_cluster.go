@@ -8,6 +8,7 @@ import (
 	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
+	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
 
@@ -113,7 +114,7 @@ func runFig7(opt Options) (*Result, error) {
 			p := cfgParams{spec: spec, wl: wl, net: hetNet(workers), epochs: epochs, overlap: setting.overlap, seed: opt.Seed + 3}
 			sum := 0.0
 			for _, ns := range netSeeds {
-				r := core.Run(p.config(ns), core.Options{Ts: MonitorTs, UniformPolicy: setting.uniform})
+				r := core.Run(p.config(ns), core.Options{Ts: scenario.DefaultMonitorTs, UniformPolicy: setting.uniform})
 				sum += r.AvgEpochTime()
 			}
 			row = append(row, f1(sum/float64(len(netSeeds))))

@@ -8,6 +8,7 @@ import (
 	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
+	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
 
@@ -61,8 +62,8 @@ func runFig15(opt Options) (*Result, error) {
 	}
 	rs := []*engine.Result{
 		baselines.RunADPSGD(p.config(opt.Seed + 5)),
-		core.RunADPSGDMonitor(p.config(opt.Seed+5), core.Options{Ts: MonitorTs}),
-		core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs}),
+		core.RunADPSGDMonitor(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs}),
+		core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs}),
 	}
 	target := lossTarget(rs)
 	for _, r := range rs {

@@ -8,6 +8,7 @@ import (
 	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
+	"netmax/internal/scenario"
 	"netmax/internal/stats"
 )
 
@@ -34,7 +35,7 @@ func runStatsSpeedup(opt Options) (*Result, error) {
 		})
 	}
 	netmax := run(func(cfg *engine.Config) *engine.Result {
-		return core.Run(cfg, core.Options{Ts: MonitorTs})
+		return core.Run(cfg, core.Options{Ts: scenario.DefaultMonitorTs})
 	})
 	res := &Result{
 		ID:     "stats-speedup",

@@ -3,7 +3,8 @@
 // Monitor regenerating policies on a wall-clock timer — as opposed to the
 // discrete-event simulation in internal/engine. This is the deployment-
 // shaped half of the reproduction: the examples use the in-process
-// transport with injected latency, and cmd/netmax-live uses TCP.
+// transport with injected latency, and live manifests run by
+// cmd/netmax-scenario can use either it or TCP.
 package live
 
 import (

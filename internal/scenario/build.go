@@ -56,18 +56,10 @@ func (m *Manifest) BuildEngine() (*engine.Config, func(*engine.Config) *engine.R
 	if err != nil {
 		return nil, nil, err
 	}
-	evalN := 400
-	if evalN > train.Len() {
-		evalN = train.Len()
-	}
-	idx := make([]int, evalN)
-	for i := range idx {
-		idx[i] = i
-	}
 	cfg := &engine.Config{
 		Spec:         spec,
 		Part:         part,
-		Eval:         train.Slice(idx),
+		Eval:         train.EvalSubset(),
 		Test:         test,
 		Net:          net,
 		LR:           r.LR,

@@ -319,12 +319,13 @@ const (
 	DefaultBatch       = 16
 	DefaultLR          = 0.1
 	// DefaultMonitorTs is the NetMax monitor period in virtual seconds:
-	// the paper's 120s over the evaluation's 50x time scale (the same
-	// constant as experiments.MonitorTs, duplicated to keep this package
-	// off the experiment registry).
+	// the paper's 120s over the evaluation's 50x time scale. Simulated
+	// epochs run ~50x faster than the paper's GPU epochs, so every
+	// wall-clock-periodic mechanism is scaled by the same factor to keep
+	// dynamics-per-epoch equal.
 	DefaultMonitorTs = 2.4
 	// DefaultSlowPeriod is the slow-link relocation period: the paper's
-	// 300s over the 50x time scale (= experiments.SlowPeriod).
+	// 300s over the 50x time scale.
 	DefaultSlowPeriod = 6.0
 	// DefaultHorizon is the virtual-time span dynamic network schedules
 	// cover; effectively unbounded.

@@ -7,6 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"netmax/internal/engine"
+	"netmax/internal/live"
 )
 
 // minimal returns the smallest interesting engine manifest: quick to run,
@@ -295,5 +299,29 @@ func TestRunLive(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("expected 2 workers x 5 iterations, got %v", rep.Live.IterationsPerWorker)
+	}
+}
+
+func TestReportSummary(t *testing.T) {
+	m := &Manifest{Name: "s", Algorithm: "netmax", Model: "MobileNet", Workers: 3}
+	liveRep := &Report{Manifest: m, Live: &live.Stats{
+		IterationsPerWorker: []int{10, 12, 8},
+		FinalAccuracy:       0.5,
+		PolicyVersions:      4,
+		BytesOnWire:         1234,
+		Pulls:               25,
+		PeerDownErrors:      3,
+		Elapsed:             1500 * time.Millisecond,
+	}}
+	want := "s [live/netmax MobileNet x3]: acc 50.00%, 30 iterations, 25 pulls (3 peer-down), 4 policy broadcasts, 1234 bytes on wire, 1.5s"
+	if got := liveRep.Summary(); got != want {
+		t.Errorf("live summary:\n got  %q\n want %q", got, want)
+	}
+	engRep := &Report{Manifest: m, Engine: &engine.Result{
+		FinalAccuracy: 0.925, FinalLoss: 0.25, TotalTime: 12.34, GlobalSteps: 100, BytesSent: 2048,
+	}}
+	want = "s [engine/netmax MobileNet x3]: acc 92.50%, loss 0.2500, 12.3 virtual secs, 100 steps, 2048 bytes"
+	if got := engRep.Summary(); got != want {
+		t.Errorf("engine summary:\n got  %q\n want %q", got, want)
 	}
 }

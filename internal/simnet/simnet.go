@@ -98,17 +98,6 @@ func SingleMachine(m int) *Topology {
 	return Cluster([]int{m})
 }
 
-// Neighbors returns the neighbor indices of node i.
-func (t *Topology) Neighbors(i int) []int {
-	var out []int
-	for j, ok := range t.Adj[i] {
-		if ok {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Connected reports whether the adjacency graph is connected (Assumption 1).
 func (t *Topology) Connected() bool {
 	if t.M == 0 {
@@ -172,22 +161,14 @@ const (
 	DefaultIntraRate = 600e6
 	DefaultInterRate = 150e6
 	VSwitchRate      = 1250e6
-	// SlowLinkPeriod is how often the slowed link moves (Section V-A:
-	// "change the slow link every 5 minutes").
-	SlowLinkPeriod = 300.0
 )
 
-// NewHeterogeneous builds the multi-tenant-cluster network of Section V-A:
-// cluster placement rates plus a dynamic 2-100x slowdown moving every
-// SlowLinkPeriod seconds for the given horizon. Deterministic in seed.
-func NewHeterogeneous(topo *Topology, seed int64, horizon float64) *Network {
-	return NewHeterogeneousPeriod(topo, seed, horizon, SlowLinkPeriod)
-}
-
-// NewHeterogeneousPeriod is NewHeterogeneous with an explicit slow-link
-// relocation period. The paper moves the slow link every 300s against epochs
-// of ~100s; simulations with faster epochs scale the period down to keep the
-// dynamics-per-epoch ratio.
+// NewHeterogeneousPeriod builds the multi-tenant-cluster network of Section
+// V-A: cluster placement rates plus a dynamic 2-100x slowdown that moves to
+// a new link every period seconds, up to the given horizon. Deterministic in
+// seed. The paper moves the slow link every 300s ("change the slow link
+// every 5 minutes") against epochs of ~100s; simulations with faster epochs
+// scale the period down to keep the dynamics-per-epoch ratio.
 func NewHeterogeneousPeriod(topo *Topology, seed int64, horizon, period float64) *Network {
 	n := &Network{Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate}
 	rng := rand.New(rand.NewSource(seed))

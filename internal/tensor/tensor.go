@@ -208,13 +208,6 @@ func (t *Tensor) AXPY(s float64, b *Tensor) {
 	}
 }
 
-// ScaleInPlace multiplies t by s in place.
-func (t *Tensor) ScaleInPlace(s float64) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
 // Zero sets all elements to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {

@@ -1,9 +1,10 @@
-// Package theory provides an executable form of the paper's convergence
-// analysis (Section IV): the matrix-form consensus iteration of Eq. (18),
-// the D^k update matrices of Eq. (19), and empirical verifiers for
-// Theorems 1-3. The evaluation figures show NetMax is fast; this package
-// shows it is *correct* — the same claims the paper proves are checked
-// numerically on strongly convex problems where x* is known in closed form.
+// Package theory checks the paper's convergence analysis (Section IV) in
+// executable form: the matrix-form consensus iteration of Eq. (18), the D^k
+// update matrices of Eq. (19), and empirical verifiers for Theorems 1-3.
+// The evaluation figures show NetMax is fast; these tests show it is
+// *correct* — the same claims the paper proves are checked numerically on
+// strongly convex problems where x* is known in closed form. The package
+// holds only test files: nothing in the runtime calls the verifiers.
 package theory
 
 import (

@@ -11,9 +11,10 @@ import (
 // TCPHub wires a whole NetMax process group over loopback TCP: one
 // TCPWorkerServer per registered worker plus one TCPMonitorServer. It
 // implements the same surface as LocalNet, so internal/live can run
-// unchanged over real sockets (cmd/netmax-live -tcp). Peer and monitor
-// handles are cached, so every (from, to) pair reuses one persistent
-// connection for the life of the hub.
+// unchanged over real sockets (a live manifest with "transport": "tcp",
+// run by cmd/netmax-scenario). Peer and monitor handles are cached, so
+// every (from, to) pair reuses one persistent connection for the life of
+// the hub.
 type TCPHub struct {
 	mu          sync.RWMutex
 	workers     map[int]*TCPWorkerServer

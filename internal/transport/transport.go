@@ -5,11 +5,12 @@
 // Two implementations are provided: an in-process channel/shared-memory
 // transport with injectable artificial latency (used by the examples to
 // demonstrate heterogeneity on one machine), and a TCP transport speaking a
-// persistent length-prefixed binary frame protocol (used by cmd/netmax-live
-// to run a real process group). Both push model payloads through a
-// pluggable compression codec (internal/codec) and report encoded
-// bytes-on-wire, so compression-aware experiments run identically over
-// shared memory and sockets. The discrete-event simulator does not use this
+// persistent length-prefixed binary frame protocol (used by live manifests
+// with "transport": "tcp", run by cmd/netmax-scenario, to run a real
+// process group). Both push model payloads through a pluggable compression
+// codec (internal/codec) and report encoded bytes-on-wire, so
+// compression-aware experiments run identically over shared memory and
+// sockets. The discrete-event simulator does not use this
 // package; this is the "system" half of the reproduction.
 package transport
 

@@ -104,21 +104,13 @@ func Dataset(spec data.Spec, seed int64) (train, test *data.Dataset) {
 // partition, the dynamic 2-100x slow-link schedule, and the paper's
 // default hyper-parameters.
 func ClusterConfig(spec nn.ModelSpec, train, test *data.Dataset, workers, epochs int, seed int64) *Config {
-	evalN := 400
-	if evalN > train.Len() {
-		evalN = train.Len()
-	}
-	idx := make([]int, evalN)
-	for i := range idx {
-		idx[i] = i
-	}
 	topo := simnet.PaperCluster(workers)
 	return &Config{
 		Spec:         spec,
 		Part:         data.Uniform(train, workers, seed),
-		Eval:         train.Slice(idx),
+		Eval:         train.EvalSubset(),
 		Test:         test,
-		Net:          simnet.NewHeterogeneousPeriod(topo, seed, 1e7, experiments.SlowPeriod),
+		Net:          simnet.NewHeterogeneousPeriod(topo, seed, 1e7, scenario.DefaultSlowPeriod),
 		LR:           0.1,
 		Batch:        16,
 		Epochs:       epochs,
@@ -139,7 +131,7 @@ func HomogeneousConfig(spec nn.ModelSpec, train, test *data.Dataset, workers, ep
 // aggregated result.
 func Train(cfg *Config, opts Options) *Result {
 	if opts.Ts <= 0 {
-		opts.Ts = experiments.MonitorTs
+		opts.Ts = scenario.DefaultMonitorTs
 	}
 	return core.Run(cfg, opts)
 }
@@ -176,7 +168,7 @@ func TrainHop(cfg *Config, staleness int) *Result {
 // the Network Monitor's adaptive policy.
 func TrainADPSGDMonitor(cfg *Config, opts Options) *Result {
 	if opts.Ts <= 0 {
-		opts.Ts = experiments.MonitorTs
+		opts.Ts = scenario.DefaultMonitorTs
 	}
 	return core.RunADPSGDMonitor(cfg, opts)
 }
