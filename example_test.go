@@ -7,14 +7,25 @@ import (
 	"netmax/internal/simnet"
 )
 
-// ExampleTrain trains NetMax on a small heterogeneous cluster. Virtual time
-// depends only on the seeds, so the output is deterministic.
-func ExampleTrain() {
-	train, test := netmax.Dataset(netmax.SynthMNIST, 1)
-	cfg := netmax.ClusterConfig(netmax.SimMobileNet, train, test, 4, 4, 1)
-	r := netmax.Train(cfg, netmax.Options{})
-	fmt.Println("epochs:", r.Epochs)
-	fmt.Println("learned:", r.FinalAccuracy > 0.9)
+// ExampleRunScenario_cluster trains NetMax on a small heterogeneous cluster
+// from a manifest built in code: the manifest defaults supply the paper's
+// cluster network and the NetMax algorithm. Virtual time depends only on
+// the seed, so the output is deterministic.
+func ExampleRunScenario_cluster() {
+	rep, err := netmax.RunScenario(&netmax.Scenario{
+		Name:         "cluster",
+		Model:        "MobileNet",
+		Dataset:      "MNIST",
+		Workers:      4,
+		Epochs:       4,
+		LRDecayEpoch: 2,
+	}, netmax.ScenarioRunOptions{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("epochs:", rep.Engine.Epochs)
+	fmt.Println("learned:", rep.Engine.FinalAccuracy > 0.9)
 	// Output:
 	// epochs: 4
 	// learned: true
@@ -40,18 +51,34 @@ func ExampleGeneratePolicy() {
 	// policy converges: true
 }
 
-// ExampleTrain_churn injects a declarative failure schedule into a
+// ExampleRunScenario_churn injects a declarative failure schedule into a
 // simulated run: worker 1 crashes and rejoins, worker 2 hangs
 // (undetectable), and the monitor's liveness tracking routes around both.
-func ExampleTrain_churn() {
-	train, test := netmax.Dataset(netmax.SynthMNIST, 1)
-	cfg := netmax.ClusterConfig(netmax.SimMobileNet, train, test, 4, 3, 1)
-	cfg.Failures = netmax.NewFailureSchedule().
-		Crash(1, 2, 4). // worker 1 down for 2 virtual seconds
-		Hang(2, 1, 3)   // worker 2 freezes (no membership event)
-	r := netmax.Train(cfg, netmax.Options{StalePeriods: 2})
-	fmt.Println("epochs:", r.Epochs)
-	fmt.Println("survived and learned:", r.FinalAccuracy > 0.9)
+func ExampleRunScenario_churn() {
+	sc, err := netmax.ParseScenario([]byte(`{
+	  "name": "churn",
+	  "model": "MobileNet",
+	  "dataset": "MNIST",
+	  "workers": 4,
+	  "epochs": 3,
+	  "lr_decay_epoch": 2,
+	  "netmax": {"stale_periods": 2},
+	  "failures": {"events": [
+	    {"kind": "crash", "worker": 1, "at": 2, "rejoin": 4},
+	    {"kind": "hang", "worker": 2, "at": 1, "until": 3}
+	  ]}
+	}`))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	rep, err := netmax.RunScenario(sc, netmax.ScenarioRunOptions{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("epochs:", rep.Engine.Epochs)
+	fmt.Println("survived and learned:", rep.Engine.FinalAccuracy > 0.9)
 	// Output:
 	// epochs: 3
 	// survived and learned: true

@@ -10,9 +10,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"netmax"
-	"netmax/internal/data"
 	"netmax/internal/simnet"
 )
 
@@ -23,34 +23,47 @@ func main() {
 	if *quick {
 		epochs = 3 // six regions are fixed by the WAN matrix; only time shrinks
 	}
-	train, test := netmax.Dataset(netmax.SynthMNIST, 1)
-
-	mkCfg := func() *netmax.Config {
-		cfg := netmax.ClusterConfig(netmax.SimMobileNet, train, test, 6, epochs, 1)
-		cfg.Net = simnet.NewCrossRegion()
-		cfg.Part = data.LabelSkew(train, data.TableVIISkew(), 1)
-		cfg.Batch = 8
-		cfg.LR = 0.05
-		cfg.LRDecayEpoch = 0
-		return cfg
+	base, err := netmax.ParseScenario([]byte(`{
+	  "name": "crossregion",
+	  "model": "MobileNet",
+	  "dataset": "MNIST",
+	  "workers": 6,
+	  "batch": 8,
+	  "lr": 0.05,
+	  "network": {"kind": "cross-region"},
+	  "partition": {"preset": "table-7"}
+	}`))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+	base.Epochs = epochs
+	run := func(algorithm string) *netmax.Result {
+		sc := *base
+		sc.Name, sc.Algorithm = "crossregion-"+algorithm, algorithm
+		rep, err := netmax.RunScenario(&sc, netmax.ScenarioRunOptions{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
+		return rep.Engine
 	}
 
 	fmt.Println("Regions:", simnet.Regions)
 	fmt.Println("Label skew (Table VII): lost labels per region")
-	for w, lost := range data.TableVIISkew() {
+	for w, lost := range base.Resolved().Partition.LostLabels {
 		fmt.Printf("  %-10s %v\n", simnet.Regions[w], lost)
 	}
 
 	fmt.Println("\nTraining across regions...")
-	type run struct {
+	results := []struct {
 		name string
 		res  *netmax.Result
-	}
-	results := []run{
-		{"NetMax", netmax.Train(mkCfg(), netmax.Options{})},
-		{"AD-PSGD", netmax.TrainADPSGD(mkCfg())},
-		{"PS-asyn", netmax.TrainPSAsync(mkCfg())},
-		{"PS-syn", netmax.TrainPSSync(mkCfg())},
+	}{
+		{"NetMax", run("netmax")},
+		{"AD-PSGD", run("adpsgd")},
+		{"PS-asyn", run("ps-async")},
+		{"PS-syn", run("ps-sync")},
 	}
 	fmt.Printf("\n%-8s  %12s  %9s\n", "approach", "total time", "accuracy")
 	for _, r := range results {

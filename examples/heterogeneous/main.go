@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"netmax"
 )
@@ -18,33 +19,41 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "tiny run for smoke tests")
 	flag.Parse()
-	train, test := netmax.Dataset(netmax.SynthCIFAR10, 1)
 	workers, epochs := 8, 30
 	if *quick {
 		workers, epochs = 4, 3
 	}
 
-	type run struct {
-		name string
-		f    func(*netmax.Config) *netmax.Result
-	}
-	runs := []run{
-		{"Prague", netmax.TrainPrague},
-		{"Allreduce", netmax.TrainAllreduce},
-		{"AD-PSGD", netmax.TrainADPSGD},
-		{"NetMax", func(c *netmax.Config) *netmax.Result { return netmax.Train(c, netmax.Options{}) }},
+	runs := []struct{ name, algorithm string }{
+		{"Prague", "prague"},
+		{"Allreduce", "allreduce"},
+		{"AD-PSGD", "adpsgd"},
+		{"NetMax", "netmax"},
 	}
 
 	fmt.Printf("%-10s  %12s  %12s  %12s  %9s\n", "approach", "epoch time", "comp cost", "comm cost", "accuracy")
 	var results []*netmax.Result
 	for _, r := range runs {
-		cfg := netmax.ClusterConfig(netmax.SimResNet18, train, test, workers, epochs, 1)
-		// Lower LR keeps per-epoch convergence comparable across approaches
-		// on the synthetic substrate (a documented deviation from the
-		// paper's settings; see docs/ARCHITECTURE.md on the substrate),
-		// so the time-to-loss section isolates the communication effect.
-		cfg.LR = 0.03
-		res := r.f(cfg)
+		rep, err := netmax.RunScenario(&netmax.Scenario{
+			Name:         "heterogeneous-" + r.algorithm,
+			Algorithm:    r.algorithm,
+			Model:        "ResNet18",
+			Dataset:      "CIFAR10",
+			Workers:      workers,
+			Epochs:       epochs,
+			LRDecayEpoch: epochs * 7 / 10,
+			// Lower LR keeps per-epoch convergence comparable across
+			// approaches on the synthetic substrate (a documented deviation
+			// from the paper's settings; see docs/ARCHITECTURE.md on the
+			// substrate), so the time-to-loss section isolates the
+			// communication effect.
+			LR: 0.03,
+		}, netmax.ScenarioRunOptions{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
+		res := rep.Engine
 		results = append(results, res)
 		fmt.Printf("%-10s  %10.1fs  %10.2fs  %10.2fs  %8.2f%%\n",
 			r.name, res.AvgEpochTime(), res.CompCostPerEpoch(workers),

@@ -10,9 +10,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"netmax"
-	"netmax/internal/data"
 )
 
 func main() {
@@ -22,28 +22,42 @@ func main() {
 	if *quick {
 		epochs = 3 // the Table IV skew needs all 8 workers; only time shrinks
 	}
-	train, test := netmax.Dataset(netmax.SynthMNIST, 1)
-
-	mkCfg := func() *netmax.Config {
-		cfg := netmax.ClusterConfig(netmax.SimMobileNet, train, test, 8, epochs, 1)
-		// Table IV: workers on server 1 never see digits {0,1,x}; workers
-		// on server 2 never see {5,6,y}.
-		cfg.Part = data.LabelSkew(train, data.TableIVSkew(), 1)
-		cfg.Batch = 8
-		cfg.LR = 0.05
-		cfg.LRDecayEpoch = 0
-		return cfg
+	// Table IV: workers on server 1 never see digits {0,1,x}; workers on
+	// server 2 never see {5,6,y}. The preset expands to that table.
+	base, err := netmax.ParseScenario([]byte(`{
+	  "name": "noniid",
+	  "model": "MobileNet",
+	  "dataset": "MNIST",
+	  "workers": 8,
+	  "batch": 8,
+	  "lr": 0.05,
+	  "partition": {"preset": "table-4"}
+	}`))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+	base.Epochs = epochs
+	run := func(algorithm string) *netmax.Result {
+		sc := *base
+		sc.Name, sc.Algorithm = "noniid-"+algorithm, algorithm
+		rep, err := netmax.RunScenario(&sc, netmax.ScenarioRunOptions{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
+		return rep.Engine
 	}
 
 	fmt.Println("Label skew (Table IV): lost labels per worker")
-	for w, lost := range data.TableIVSkew() {
+	for w, lost := range base.Resolved().Partition.LostLabels {
 		fmt.Printf("  w%d: %v\n", w, lost)
 	}
 
 	fmt.Println("\nTraining on the non-IID partition, heterogeneous network...")
-	nm := netmax.Train(mkCfg(), netmax.Options{})
-	ad := netmax.TrainADPSGD(mkCfg())
-	ar := netmax.TrainAllreduce(mkCfg())
+	nm := run("netmax")
+	ad := run("adpsgd")
+	ar := run("allreduce")
 
 	fmt.Printf("\n%-10s total=%8.1fs  acc=%5.2f%%\n", "NetMax", nm.TotalTime, 100*nm.FinalAccuracy)
 	fmt.Printf("%-10s total=%8.1fs  acc=%5.2f%%\n", "AD-PSGD", ad.TotalTime, 100*ad.FinalAccuracy)

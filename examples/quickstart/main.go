@@ -1,6 +1,7 @@
 // Quickstart: train a ResNet18-scale model with NetMax on a synthetic
 // CIFAR10 across an 8-worker heterogeneous cluster, and compare against
-// AD-PSGD on the identical workload.
+// AD-PSGD on the identical workload. Each run is a scenario manifest; the
+// two differ only in their algorithm.
 //
 //	go run ./examples/quickstart
 //	go run ./examples/quickstart -quick
@@ -9,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"netmax"
 )
@@ -20,16 +22,27 @@ func main() {
 	if *quick {
 		workers, epochs = 4, 3
 	}
+	run := func(algorithm string) *netmax.Result {
+		rep, err := netmax.RunScenario(&netmax.Scenario{
+			Name:         "quickstart-" + algorithm,
+			Algorithm:    algorithm,
+			Model:        "ResNet18",
+			Dataset:      "CIFAR10",
+			Workers:      workers,
+			Epochs:       epochs,
+			LRDecayEpoch: epochs * 7 / 10,
+		}, netmax.ScenarioRunOptions{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
+		return rep.Engine
+	}
 
-	train, test := netmax.Dataset(netmax.SynthCIFAR10, 1)
-
-	cfg := netmax.ClusterConfig(netmax.SimResNet18, train, test, workers, epochs, 1)
 	fmt.Printf("Training NetMax (%d workers, heterogeneous network)...\n", workers)
-	nm := netmax.Train(cfg, netmax.Options{})
-
-	cfg2 := netmax.ClusterConfig(netmax.SimResNet18, train, test, workers, epochs, 1)
+	nm := run("netmax")
 	fmt.Println("Training AD-PSGD on the identical workload...")
-	ad := netmax.TrainADPSGD(cfg2)
+	ad := run("adpsgd")
 
 	fmt.Println("\nloss curve (virtual seconds -> loss):")
 	for i := 0; i < len(nm.Curve); i += 5 {

@@ -211,20 +211,6 @@ func Tanh(a *Value) *Value {
 	return out
 }
 
-// SumSquares returns the scalar sum of squared elements (for L2 terms).
-func SumSquares(a *Value) *Value {
-	data := tensor.GetPooledDirty(1)
-	data.Data[0] = tensor.Dot(a.Data, a.Data)
-	out := newPooledOp("sumsq", data, a)
-	out.backward = func() {
-		if !a.requiresGrad {
-			return
-		}
-		accumTemp(a, tensor.ScaleInto(tensor.GetPooledDirty(a.Data.Shape...), a.Data, 2*out.Grad.Data[0]))
-	}
-	return out
-}
-
 // SoftmaxCrossEntropy computes the mean cross-entropy loss of rank-2 logits
 // against integer class labels, with a numerically stable fused
 // softmax+log+NLL. It returns a scalar value.
@@ -276,21 +262,6 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 		}
 		tensor.Recycle(probs)
 		accumTemp(logits, g)
-	}
-	return out
-}
-
-// MSE returns mean squared error between prediction a and target t
-// (target receives no gradient).
-func MSE(a *Value, target *tensor.Tensor) *Value {
-	diff := tensor.SubInto(tensor.GetPooledDirty(a.Data.Shape...), a.Data, target)
-	data := tensor.GetPooledDirty(1)
-	data.Data[0] = tensor.Dot(diff, diff) / float64(diff.Len())
-	out := newPooledOp("mse", data, a)
-	out.backward = func() {
-		scale := 2 * out.Grad.Data[0] / float64(diff.Len())
-		accumTemp(a, tensor.ScaleInto(tensor.GetPooledDirty(diff.Shape...), diff, scale))
-		tensor.Recycle(diff)
 	}
 	return out
 }

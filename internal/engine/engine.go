@@ -349,9 +349,6 @@ func (t *Tracker) AddBytes(n int64) { t.res.BytesSent += n }
 // Done reports whether the configured number of epochs has completed.
 func (t *Tracker) Done() bool { return t.epochsDone >= t.cfg.Epochs }
 
-// EpochsDone returns the completed epoch count.
-func (t *Tracker) EpochsDone() int { return t.epochsDone }
-
 func (t *Tracker) recordPoint(now float64) {
 	avg := AverageModel(t.cfg, t.ws)
 	loss := avg.Loss(t.evalX, t.evalLabels).Item()

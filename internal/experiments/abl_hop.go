@@ -3,13 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
-	"netmax/internal/engine"
-	"netmax/internal/nn"
 	"netmax/internal/scenario"
-	"netmax/internal/simnet"
 )
 
 func init() {
@@ -25,32 +19,36 @@ func init() {
 func runAblHop(opt Options) (*Result, error) {
 	const workers = 8
 	epochs := scaleEpochs(16, opt)
-	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-	topo := simnet.PaperCluster(workers)
-	// A static network with one continuously slow link: the heterogeneous
-	// generator with a single never-moving slowdown period.
-	net := func(seed int64) *simnet.Network {
-		return simnet.NewHeterogeneousPeriod(topo, seed, 1e7, 1e7)
+	arms := []struct {
+		label, algorithm string
+		staleness        int
+	}{
+		{"Hop (s=2)", "hop", 2},
+		{"Hop (s=8)", "hop", 8},
+		{"AD-PSGD", "adpsgd", 0},
+		{"NetMax", "netmax", 0},
 	}
-	p := cfgParams{spec: nn.SimResNet18, wl: wl, net: net, epochs: epochs, overlap: true, seed: opt.Seed + 3}
+	var ms []*scenario.Manifest
+	for _, a := range arms {
+		m := manifest(a.algorithm, "ResNet18", "CIFAR10", workers, epochs, opt)
+		m.HopStaleness = a.staleness
+		// A static network with one continuously slow link: the
+		// heterogeneous generator with a single slowdown period spanning
+		// the whole 1e7 s schedule.
+		m.Network = &scenario.NetworkSpec{Kind: "heterogeneous", PeriodSecs: 1e7}
+		ms = append(ms, m)
+	}
+	rs, err := run("abl-hop", serial, ms)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		ID:     "abl-hop",
 		Title:  "Bounded staleness vs adaptive routing, one continuously slow link",
 		Header: []string{"approach", "total time (s)", "comm cost/epoch (s)"},
 	}
-	for _, a := range []struct {
-		name string
-		run  func() *engine.Result
-	}{
-		{"Hop (s=2)", func() *engine.Result { return baselines.RunHop(p.config(opt.Seed+5), 2) }},
-		{"Hop (s=8)", func() *engine.Result { return baselines.RunHop(p.config(opt.Seed+5), 8) }},
-		{"AD-PSGD", func() *engine.Result { return baselines.RunADPSGD(p.config(opt.Seed + 5)) }},
-		{"NetMax", func() *engine.Result {
-			return core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs})
-		}},
-	} {
-		r := a.run()
-		res.Rows = append(res.Rows, []string{a.name, f1(r.TotalTime), f2(r.CommCostPerEpoch(workers))})
+	for k, r := range rs {
+		res.Rows = append(res.Rows, []string{arms[k].label, f1(r.TotalTime), f2(r.CommCostPerEpoch(workers))})
 	}
 	res.Notes = append(res.Notes,
 		"expected: tight staleness bounds drag the whole system toward the slow worker's pace; NetMax avoids the slow link entirely",

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
-	"netmax/internal/nn"
+	"netmax/internal/engine"
 	"netmax/internal/scenario"
-	"netmax/internal/simnet"
 )
 
 func init() {
@@ -21,45 +17,56 @@ func init() {
 func runAblSAPS(opt Options) (*Result, error) {
 	const workers = 8
 	epochs := scaleEpochs(40, opt)
-	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-	topo := simnet.PaperCluster(workers)
-
 	res := &Result{
 		ID:     "abl-saps",
 		Title:  "SAPS static subgraph vs NetMax under shuffled link speeds",
 		Header: []string{"network", "approach", "avg total time (s)", "avg comm cost/epoch (s)"},
 	}
-	netSeeds := []int64{opt.Seed + 5, opt.Seed + 55, opt.Seed + 505}
+	netSeeds := []int64{opt.Seed, opt.Seed + 50, opt.Seed + 500}
 	if opt.Quick {
 		netSeeds = netSeeds[:1]
 	}
-	for _, netcase := range []struct {
-		name string
-		net  func(seed int64) *simnet.Network
-	}{
-		{"static rates", func(seed int64) *simnet.Network { return simnet.NewStatic(topo) }},
-		// The shuffle period is 2x the slow-link period: long enough that
-		// the monitor's tracking lag (Ts plus EMA warm-up) is a modest
-		// fraction of each regime, short enough that a 40-epoch run spans
-		// many regimes for averaging.
-		{"shuffled rates", func(seed int64) *simnet.Network {
-			return simnet.NewShuffledRates(topo, seed, 1e7, 2*scenario.DefaultSlowPeriod)
-		}},
-	} {
+	// Runs come in (SAPS, NetMax) pairs: one pair on the static rates,
+	// which have no seed to vary, then one pair per shuffled network seed.
+	var ms []*scenario.Manifest
+	for _, a := range []string{"saps", "netmax"} {
+		m := manifest(a, "ResNet18", "CIFAR10", workers, epochs, opt)
+		m.Network = &scenario.NetworkSpec{Kind: "static"}
+		ms = append(ms, m)
+	}
+	for _, ns := range netSeeds {
+		for _, a := range []string{"saps", "netmax"} {
+			m := manifest(a, "ResNet18", "CIFAR10", workers, epochs, opt)
+			// The shuffle period is 2x the slow-link period: long enough
+			// that the monitor's tracking lag (Ts plus EMA warm-up) is a
+			// modest fraction of each regime, short enough that a 40-epoch
+			// run spans many regimes for averaging.
+			m.Network = &scenario.NetworkSpec{Kind: "shuffled", Seed: &ns, PeriodSecs: 2 * scenario.DefaultSlowPeriod}
+			ms = append(ms, m)
+		}
+	}
+	rs, err := run("abl-saps", serial, ms)
+	if err != nil {
+		return nil, err
+	}
+	// average tabulates one network's rows, averaging each approach over
+	// its (SAPS, NetMax) pairs.
+	average := func(network string, rs []*engine.Result) {
 		var sapsT, sapsC, nmT, nmC float64
-		for _, ns := range netSeeds {
-			p := cfgParams{spec: nn.SimResNet18, wl: wl, net: netcase.net, epochs: epochs, overlap: true, seed: opt.Seed + 3}
-			saps := baselines.RunSAPS(p.config(ns))
-			netmax := core.Run(p.config(ns), core.Options{Ts: scenario.DefaultMonitorTs})
-			sapsT += saps.TotalTime / float64(len(netSeeds))
-			sapsC += saps.CommCostPerEpoch(workers) / float64(len(netSeeds))
-			nmT += netmax.TotalTime / float64(len(netSeeds))
-			nmC += netmax.CommCostPerEpoch(workers) / float64(len(netSeeds))
+		n := float64(len(rs) / 2)
+		for k := 0; k < len(rs); k += 2 {
+			saps, netmax := rs[k], rs[k+1]
+			sapsT += saps.TotalTime / n
+			sapsC += saps.CommCostPerEpoch(workers) / n
+			nmT += netmax.TotalTime / n
+			nmC += netmax.CommCostPerEpoch(workers) / n
 		}
 		res.Rows = append(res.Rows,
-			[]string{netcase.name, "SAPS-PSGD", f1(sapsT), f2(sapsC)},
-			[]string{netcase.name, "NetMax", f1(nmT), f2(nmC)})
+			[]string{network, "SAPS-PSGD", f1(sapsT), f2(sapsC)},
+			[]string{network, "NetMax", f1(nmT), f2(nmC)})
 	}
+	average("static rates", rs[:2])
+	average("shuffled rates", rs[2:])
 	res.Notes = append(res.Notes,
 		"expected: SAPS competitive under static rates, degraded under shuffled rates (its subgraph goes stale)",
 		"measured finding: SAPS degrades ~1.5x as predicted, yet stays ahead of NetMax here: with a third of all links congested, Eq. 10's frequency equalization forces NetMax to keep floor probability on congested links on every row. NetMax's wins (Fig. 5/8) come from the paper's single-slow-link regime, where those floors are nearly free")
@@ -71,10 +78,14 @@ func runAblSAPS(opt Options) (*Result, error) {
 func runAblDPSGD(opt Options) (*Result, error) {
 	const workers = 8
 	epochs := scaleEpochs(16, opt)
-	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-	p := cfgParams{spec: nn.SimResNet18, wl: wl, net: hetNet(workers), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-	dpsgd := baselines.RunSyncDPSGD(p.config(opt.Seed + 5))
-	netmax := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs})
+	rs, err := run("abl-dpsgd", serial, []*scenario.Manifest{
+		manifest("dpsgd", "ResNet18", "CIFAR10", workers, epochs, opt),
+		manifest("netmax", "ResNet18", "CIFAR10", workers, epochs, opt),
+	})
+	if err != nil {
+		return nil, err
+	}
+	dpsgd, netmax := rs[0], rs[1]
 	res := &Result{
 		ID:     "abl-dpsgd",
 		Title:  "Synchronous D-PSGD vs NetMax, heterogeneous network",

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"netmax/internal/baselines"
-	"netmax/internal/data"
-	"netmax/internal/nn"
-)
+import "netmax/internal/scenario"
 
 func init() {
 	register("abl-straggler", "Ablation: compute stragglers (one worker 5x slower)", runAblStraggler)
@@ -17,32 +13,32 @@ func init() {
 func runAblStraggler(opt Options) (*Result, error) {
 	const workers = 8
 	epochs := scaleEpochs(16, opt)
-	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-
-	straggler := make([]float64, workers)
-	for i := range straggler {
-		straggler[i] = 1
+	arms := []struct{ label, algorithm string }{
+		{"Allreduce", "allreduce"},
+		{"D-PSGD", "dpsgd"},
+		{"Prague", "prague"},
+		{"AD-PSGD", "adpsgd"},
+		{"NetMax", "netmax"},
 	}
-	straggler[3] = 5
-
+	var ms []*scenario.Manifest
+	for _, a := range arms {
+		uniform := homogeneous(manifest(a.algorithm, "ResNet18", "CIFAR10", workers, epochs, opt))
+		straggler := homogeneous(manifest(a.algorithm, "ResNet18", "CIFAR10", workers, epochs, opt))
+		straggler.Compute = &scenario.ComputeSpec{Kind: "straggler", Worker: 3, Factor: 5}
+		ms = append(ms, uniform, straggler)
+	}
+	rs, err := run("abl-straggler", serial, ms)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		ID:     "abl-straggler",
 		Title:  "One worker computing 5x slower, homogeneous network",
 		Header: []string{"approach", "uniform compute (s)", "with straggler (s)", "slowdown"},
 	}
-	for _, a := range []algo{
-		{"Allreduce", baselines.RunAllreduce},
-		{"D-PSGD", baselines.RunSyncDPSGD},
-		{"Prague", baselines.RunPrague},
-		{"AD-PSGD", baselines.RunADPSGD},
-		netmaxAlgo(),
-	} {
-		p := cfgParams{spec: nn.SimResNet18, wl: wl, net: homNet(workers), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-		base := a.run(p.config(opt.Seed + 5))
-		cfg := p.config(opt.Seed + 5)
-		cfg.ComputeScale = straggler
-		slow := a.run(cfg)
-		res.Rows = append(res.Rows, []string{a.name, f1(base.TotalTime), f1(slow.TotalTime), f2(slow.TotalTime / base.TotalTime)})
+	for k, a := range arms {
+		base, slow := rs[2*k], rs[2*k+1]
+		res.Rows = append(res.Rows, []string{a.label, f1(base.TotalTime), f1(slow.TotalTime), f2(slow.TotalTime / base.TotalTime)})
 	}
 	res.Notes = append(res.Notes,
 		"expected: sync approaches slow down toward 5x; async approaches stay near 1x (the straggler only throttles its own share of samples)")

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/core"
-	"netmax/internal/data"
-	"netmax/internal/nn"
 	"netmax/internal/scenario"
 )
 
@@ -16,10 +13,13 @@ func init() {
 	register("abl-rounds", "Ablation: Algorithm 3 search grid size K=R", runAblRounds)
 }
 
-func ablConfig(opt Options, epochs int) cfgParams {
-	wl := buildWorkload(data.SynthCIFAR10, 8, opt.Seed+1)
-	return cfgParams{spec: nn.SimResNet18, wl: wl, net: hetNet(8), epochs: epochs,
-		decayAt: epochs * 7 / 10, overlap: true, seed: opt.Seed + 3}
+// ablation is the NetMax run every control-plane ablation varies:
+// ResNet18 on 8 heterogeneous-cluster workers, LR decayed at 70% of the run.
+func ablation(nm *scenario.NetMaxSpec, epochs int, opt Options) *scenario.Manifest {
+	m := manifest("netmax", "ResNet18", "CIFAR10", 8, epochs, opt)
+	m.LRDecayEpoch = epochs * 7 / 10
+	m.NetMax = nm
+	return m
 }
 
 // runAblBlend compares Algorithm 2's 1/p_im-scaled blend weight against
@@ -27,9 +27,14 @@ func ablConfig(opt Options, epochs int) cfgParams {
 // delta between NetMax and AD-PSGD+Monitor).
 func runAblBlend(opt Options) (*Result, error) {
 	epochs := scaleEpochs(30, opt)
-	p := ablConfig(opt, epochs)
-	scaled := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs})
-	fixed := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs, FixedBlend: true})
+	rs, err := run("abl-blend", serial, []*scenario.Manifest{
+		ablation(nil, epochs, opt),
+		ablation(&scenario.NetMaxSpec{FixedBlend: true}, epochs, opt),
+	})
+	if err != nil {
+		return nil, err
+	}
+	scaled, fixed := rs[0], rs[1]
 	res := &Result{
 		ID:     "abl-blend",
 		Title:  "Consensus blend weight ablation",
@@ -43,56 +48,63 @@ func runAblBlend(opt Options) (*Result, error) {
 	return res, nil
 }
 
+// sweep runs the ablation once per NetMax spec and tabulates each run's
+// total time and comm cost per epoch, one row per spec under its label.
+func sweep(id, title, param string, labels []string, nms []*scenario.NetMaxSpec, opt Options) (*Result, error) {
+	epochs := scaleEpochs(20, opt)
+	ms := make([]*scenario.Manifest, len(nms))
+	for k, nm := range nms {
+		ms[k] = ablation(nm, epochs, opt)
+	}
+	rs, err := run(id, serial, ms)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{ID: id, Title: title, Header: []string{param, "total time (s)", "comm cost/epoch (s)"}}
+	for k, r := range rs {
+		res.Rows = append(res.Rows, []string{labels[k], f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
+	}
+	return res, nil
+}
+
 // runAblTs sweeps the monitor period: too long reacts slowly to the moving
 // slow link; too short wastes little here (policy generation is cheap) but
 // in a real deployment adds control traffic.
 func runAblTs(opt Options) (*Result, error) {
-	epochs := scaleEpochs(20, opt)
-	res := &Result{
-		ID:     "abl-ts",
-		Title:  "Monitor period Ts sweep (seconds, simulator scale)",
-		Header: []string{"Ts", "total time (s)", "comm cost/epoch (s)"},
-	}
 	const ts0 = scenario.DefaultMonitorTs
+	var labels []string
+	var nms []*scenario.NetMaxSpec
 	for _, ts := range []float64{ts0 / 4, ts0, ts0 * 4, ts0 * 16} {
-		p := ablConfig(opt, epochs)
-		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: ts})
-		res.Rows = append(res.Rows, []string{f2(ts), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
+		labels = append(labels, f2(ts))
+		nms = append(nms, &scenario.NetMaxSpec{TsSecs: ts})
 	}
-	res.Notes = append(res.Notes, "expected: total time grows once Ts far exceeds the slow-link period (stale policies)")
-	return res, nil
+	res, err := sweep("abl-ts", "Monitor period Ts sweep (seconds, simulator scale)", "Ts", labels, nms, opt)
+	if err == nil {
+		res.Notes = append(res.Notes, "expected: total time grows once Ts far exceeds the slow-link period (stale policies)")
+	}
+	return res, err
 }
 
 // runAblBeta sweeps the EMA smoothing factor β of Algorithm 2: small β
 // tracks link changes quickly, large β smooths noise but reacts slowly.
 func runAblBeta(opt Options) (*Result, error) {
-	epochs := scaleEpochs(20, opt)
-	res := &Result{
-		ID:     "abl-beta",
-		Title:  "EMA smoothing factor beta sweep",
-		Header: []string{"beta", "total time (s)", "comm cost/epoch (s)"},
-	}
+	var labels []string
+	var nms []*scenario.NetMaxSpec
 	for _, beta := range []float64{0.1, 0.5, 0.9} {
-		p := ablConfig(opt, epochs)
-		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs, Beta: beta})
-		res.Rows = append(res.Rows, []string{f2(beta), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
+		labels = append(labels, f2(beta))
+		nms = append(nms, &scenario.NetMaxSpec{Beta: beta})
 	}
-	return res, nil
+	return sweep("abl-beta", "EMA smoothing factor beta sweep", "beta", labels, nms, opt)
 }
 
 // runAblRounds sweeps Algorithm 3's grid size: coarse grids may miss good
 // (ρ, t̄) candidates; fine grids cost monitor CPU.
 func runAblRounds(opt Options) (*Result, error) {
-	epochs := scaleEpochs(20, opt)
-	res := &Result{
-		ID:     "abl-rounds",
-		Title:  "Algorithm 3 grid size sweep (K = R)",
-		Header: []string{"K=R", "total time (s)", "comm cost/epoch (s)"},
-	}
+	var labels []string
+	var nms []*scenario.NetMaxSpec
 	for _, k := range []int{3, 10, 20} {
-		p := ablConfig(opt, epochs)
-		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs, PolicyRounds: k})
-		res.Rows = append(res.Rows, []string{fmt.Sprint(k), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
+		labels = append(labels, fmt.Sprint(k))
+		nms = append(nms, &scenario.NetMaxSpec{PolicyRounds: k})
 	}
-	return res, nil
+	return sweep("abl-rounds", "Algorithm 3 grid size sweep (K = R)", "K=R", labels, nms, opt)
 }

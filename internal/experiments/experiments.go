@@ -1,32 +1,30 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section V and Appendices F-G) on the simulated substrate.
 //
-// Each experiment id (fig3, fig5, ..., tab2, ..., fig19, plus the abl-*
-// ablations) maps to a function that builds the paper's workload, runs the
-// compared algorithms on the discrete-event engine, and returns the same
-// rows/series the paper reports. Absolute numbers differ — the substrate is
-// a simulator, not the authors' GPU cluster — but the shapes (who wins, by
-// roughly what factor, where crossovers fall) are the reproduction target;
-// each Result carries expected-vs-measured notes inline.
+// The package is a report layer over scenario manifests. Each experiment id
+// (fig3, fig5, ..., tab2, ..., fig19, plus the abl-* ablations) maps to a
+// function that describes every training run of the figure as a
+// scenario.Manifest, runs them as one suite through scenario.RunSuite, and
+// turns the results into the rows/series the paper reports. Absolute
+// numbers differ — the substrate is a simulator, not the authors' GPU
+// cluster — but the shapes (who wins, by roughly what factor, where
+// crossovers fall) are the reproduction target; each Result carries
+// expected-vs-measured notes inline.
 package experiments
 
 import (
 	"fmt"
 	"sort"
 
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
 	"netmax/internal/engine"
-	"netmax/internal/nn"
 	"netmax/internal/scenario"
-	"netmax/internal/simnet"
 )
 
 // Options tunes an experiment run.
 type Options struct {
-	// Seed drives dataset generation, model init and all stochastic
-	// decisions; each experiment is deterministic given (id, Options).
+	// Seed is every run's manifest seed: it drives dataset generation,
+	// model init and all stochastic decisions (0 selects the manifest
+	// default, 1). Each experiment is deterministic given (id, Options).
 	Seed int64
 	// Quick shrinks epochs/node counts ~4x for smoke runs and benchmarks.
 	Quick bool
@@ -83,131 +81,65 @@ func ids() []string {
 	return out
 }
 
-// ---- shared workload builders ----
+// ---- runs as manifests ----
 
-// algo pairs a display name with a runner over a fresh config.
-type algo struct {
-	name string
-	run  func(cfg *engine.Config) *engine.Result
-}
+// clusterAlgorithms is the comparison set of Sections V-B..V-F as manifest
+// algorithm names, in the paper's reporting order.
+var clusterAlgorithms = []string{"prague", "allreduce", "adpsgd", "netmax"}
 
-func netmaxAlgo() algo {
-	return algo{"NetMax", func(cfg *engine.Config) *engine.Result {
-		return core.Run(cfg, core.Options{Ts: scenario.DefaultMonitorTs})
-	}}
-}
-
-// clusterAlgos is the comparison set of Sections V-B..V-F, in the paper's
-// reporting order.
-func clusterAlgos() []algo {
-	return []algo{
-		{"Prague", baselines.RunPrague},
-		{"Allreduce", baselines.RunAllreduce},
-		{"AD-PSGD", baselines.RunADPSGD},
-		netmaxAlgo(),
+// manifest describes one training run of a figure: the model and dataset
+// (by zoo name) on workers nodes of the Section V-A heterogeneous cluster,
+// which is the manifest default network. opt.Seed is the run's one seed:
+// it drives data generation, partitioning, model init and the network's
+// slowdown schedule alike.
+func manifest(algorithm, model, dataset string, workers, epochs int, opt Options) *scenario.Manifest {
+	return &scenario.Manifest{
+		Algorithm: algorithm,
+		Model:     model,
+		Dataset:   dataset,
+		Workers:   workers,
+		Epochs:    epochs,
+		Seed:      opt.Seed,
 	}
 }
 
-// psAlgos adds the parameter-server baselines of Section V-G.
-func psAlgos() []algo {
-	return append(clusterAlgos()[:3:3], []algo{
-		{"PS-syn", baselines.RunPSSync},
-		{"PS-asyn", baselines.RunPSAsync},
-		netmaxAlgo(),
-	}...)
+// homogeneous moves a run onto the Section V-A single-server 10 Gbps
+// network and returns it.
+func homogeneous(m *scenario.Manifest) *scenario.Manifest {
+	m.Topology = &scenario.TopologySpec{Kind: "single-machine"}
+	m.Network = &scenario.NetworkSpec{Kind: "homogeneous"}
+	return m
 }
 
-// workload bundles the shared data of one experiment so every algorithm
-// sees identical shards, eval subset and test set.
-type workload struct {
-	part *data.Partition
-	eval *data.Dataset
-	test *data.Dataset
-}
+// Suite parallelism for run. A figure's compared arms run concurrently
+// (the process default); figures that sweep several configurations run
+// one member at a time, because every dynamic network materialises its
+// whole slowdown schedule up front and concurrent sweeps multiply peak
+// memory (abl-saps' shuffled networks most of all).
+const (
+	concurrent = 0
+	serial     = 1
+)
 
-func buildWorkload(ds data.Spec, workers int, seed int64) *workload {
-	train, test := ds.Generate(seed)
-	return &workload{
-		part: data.Uniform(train, workers, seed),
-		eval: train.EvalSubset(),
-		test: test,
+// run executes an experiment's manifests as one suite named after the
+// experiment, at most par members at a time. Every run is internally
+// deterministic, so the results come back in manifest order and are
+// identical at any par.
+func run(id string, par int, ms []*scenario.Manifest) ([]*engine.Result, error) {
+	s := &scenario.Suite{Name: id}
+	for k, m := range ms {
+		m.Name = fmt.Sprintf("%s-%d", id, k)
+		s.Runs = append(s.Runs, scenario.SuiteMember{Manifest: m})
 	}
-}
-
-func (w *workload) withSegments(ds data.Spec, segments []int, seed int64) *workload {
-	train, _ := ds.Generate(seed)
-	w.part = data.Segments(train, segments, seed)
-	return w
-}
-
-func (w *workload) withLabelSkew(ds data.Spec, skew [][]int, seed int64) *workload {
-	train, _ := ds.Generate(seed)
-	w.part = data.LabelSkew(train, skew, seed)
-	return w
-}
-
-// cfgParams collects the knobs that vary across experiments.
-type cfgParams struct {
-	spec    nn.ModelSpec
-	wl      *workload
-	net     func(seed int64) *simnet.Network
-	epochs  int
-	batch   int
-	lr      float64
-	decayAt int
-	overlap bool
-	seed    int64
-}
-
-func (p cfgParams) config(netSeed int64) *engine.Config {
-	lr := p.lr
-	if lr == 0 {
-		lr = 0.1
+	rep, err := scenario.RunSuite(s, scenario.SuiteRunOptions{Par: par})
+	if err != nil {
+		return nil, err
 	}
-	batch := p.batch
-	if batch == 0 {
-		batch = 16
+	out := make([]*engine.Result, len(rep.Reports))
+	for k, r := range rep.Reports {
+		out[k] = r.Engine
 	}
-	return &engine.Config{
-		Spec:         p.spec,
-		Part:         p.wl.part,
-		Eval:         p.wl.eval,
-		Test:         p.wl.test,
-		Net:          p.net(netSeed),
-		LR:           lr,
-		Batch:        batch,
-		Epochs:       p.epochs,
-		Seed:         p.seed,
-		Overlap:      p.overlap,
-		LRDecayEpoch: p.decayAt,
-	}
-}
-
-// hetNet builds the Section V-A heterogeneous cluster network.
-func hetNet(workers int) func(seed int64) *simnet.Network {
-	topo := simnet.PaperCluster(workers)
-	return func(seed int64) *simnet.Network {
-		return simnet.NewHeterogeneousPeriod(topo, seed, 1e7, scenario.DefaultSlowPeriod)
-	}
-}
-
-// homNet builds the Section V-A homogeneous single-server network.
-func homNet(workers int) func(seed int64) *simnet.Network {
-	topo := simnet.SingleMachine(workers)
-	return func(seed int64) *simnet.Network { return simnet.NewHomogeneous(topo) }
-}
-
-// runAll executes every algorithm on an identical fresh workload/config.
-// Algorithms run concurrently under the bounded-parallelism driver — each
-// builds its own config (fresh network, fresh workers) over the shared
-// read-only workload, and every run is internally deterministic, so results
-// land in reporting order regardless of scheduling.
-func runAll(algos []algo, p cfgParams) []*engine.Result {
-	out := make([]*engine.Result, len(algos))
-	engine.Concurrently(len(algos), engine.ResolveParallelism(0), func(k int) {
-		out[k] = algos[k].run(p.config(p.seed))
-	})
-	return out
+	return out, nil
 }
 
 func scaleEpochs(full int, opt Options) int {

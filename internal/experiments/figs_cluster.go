@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
 	"netmax/internal/scenario"
@@ -42,7 +39,7 @@ func runFig3(opt Options) (*Result, error) {
 	return res, nil
 }
 
-func epochTimeDecomposition(id, title string, net func(int) func(int64) *simnet.Network, opt Options) (*Result, error) {
+func epochTimeDecomposition(id, title string, hom bool, opt Options) (*Result, error) {
 	const workers = 8
 	epochs := scaleEpochs(16, opt)
 	res := &Result{
@@ -51,24 +48,33 @@ func epochTimeDecomposition(id, title string, net func(int) func(int64) *simnet.
 		Header: []string{"model", "approach", "comp cost (s)", "comm cost (s)", "epoch time (s)"},
 		Curves: map[string][]engine.Point{},
 	}
-	for _, spec := range []nn.ModelSpec{nn.SimResNet18, nn.SimVGG19} {
-		wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-		p := cfgParams{spec: spec, wl: wl, net: net(workers), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-		for _, a := range clusterAlgos() {
-			r := a.run(p.config(opt.Seed + 5))
-			res.Rows = append(res.Rows, []string{
-				spec.Name, r.Algo,
-				f2(r.CompCostPerEpoch(workers)), f2(r.CommCostPerEpoch(workers)),
-				f2(r.AvgEpochTime()),
-			})
+	var ms []*scenario.Manifest
+	for _, model := range []string{"ResNet18", "VGG19"} {
+		for _, a := range clusterAlgorithms {
+			m := manifest(a, model, "CIFAR10", workers, epochs, opt)
+			if hom {
+				homogeneous(m)
+			}
+			ms = append(ms, m)
 		}
+	}
+	rs, err := run(id, serial, ms)
+	if err != nil {
+		return nil, err
+	}
+	for k, r := range rs {
+		res.Rows = append(res.Rows, []string{
+			ms[k].Model, r.Algo,
+			f2(r.CompCostPerEpoch(workers)), f2(r.CommCostPerEpoch(workers)),
+			f2(r.AvgEpochTime()),
+		})
 	}
 	return res, nil
 }
 
 // runFig5 reproduces the heterogeneous epoch-time bars (paper Fig. 5).
 func runFig5(opt Options) (*Result, error) {
-	res, err := epochTimeDecomposition("fig5", "Avg epoch time, heterogeneous network", hetNet, opt)
+	res, err := epochTimeDecomposition("fig5", "Avg epoch time, heterogeneous network", false, opt)
 	if err == nil {
 		res.Notes = append(res.Notes,
 			"paper shape: comp costs ~equal; NetMax lowest comm; Prague highest comm",
@@ -79,7 +85,7 @@ func runFig5(opt Options) (*Result, error) {
 
 // runFig6 reproduces the homogeneous epoch-time bars (paper Fig. 6).
 func runFig6(opt Options) (*Result, error) {
-	res, err := epochTimeDecomposition("fig6", "Avg epoch time, homogeneous network", homNet, opt)
+	res, err := epochTimeDecomposition("fig6", "Avg epoch time, homogeneous network", true, opt)
 	if err == nil {
 		res.Notes = append(res.Notes,
 			"paper shape: comm costs much lower than Fig.5; NetMax ~ AD-PSGD < Allreduce < Prague")
@@ -100,22 +106,38 @@ func runFig7(opt Options) (*Result, error) {
 	// Epoch times under the dynamic slowdown schedule are noisy (one 2-100x
 	// slow link moves around), so each setting is averaged over several
 	// network seeds — the paper averages implicitly over much longer runs.
-	netSeeds := []int64{opt.Seed + 5, opt.Seed + 105, opt.Seed + 205}
+	netSeeds := []int64{opt.Seed, opt.Seed + 100, opt.Seed + 200}
 	if opt.Quick {
 		netSeeds = netSeeds[:1]
 	}
-	for _, spec := range []nn.ModelSpec{nn.SimResNet18, nn.SimVGG19} {
-		wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-		row := []string{spec.Name}
-		for _, setting := range []struct {
-			overlap bool
-			uniform bool
-		}{{false, true}, {true, true}, {false, false}, {true, false}} {
-			p := cfgParams{spec: spec, wl: wl, net: hetNet(workers), epochs: epochs, overlap: setting.overlap, seed: opt.Seed + 3}
-			sum := 0.0
+	models := []string{"ResNet18", "VGG19"}
+	settings := []struct {
+		overlap bool
+		uniform bool
+	}{{false, true}, {true, true}, {false, false}, {true, false}}
+	var ms []*scenario.Manifest
+	for _, model := range models {
+		for _, setting := range settings {
 			for _, ns := range netSeeds {
-				r := core.Run(p.config(ns), core.Options{Ts: scenario.DefaultMonitorTs, UniformPolicy: setting.uniform})
-				sum += r.AvgEpochTime()
+				m := manifest("netmax", model, "CIFAR10", workers, epochs, opt)
+				m.Overlap = &setting.overlap
+				m.Network = &scenario.NetworkSpec{Kind: "heterogeneous", Seed: &ns}
+				m.NetMax = &scenario.NetMaxSpec{UniformPolicy: setting.uniform}
+				ms = append(ms, m)
+			}
+		}
+	}
+	rs, err := run("fig7", serial, ms)
+	if err != nil {
+		return nil, err
+	}
+	for _, model := range models {
+		row := []string{model}
+		for range settings {
+			sum := 0.0
+			for range netSeeds {
+				sum += rs[0].AvgEpochTime()
+				rs = rs[1:]
 			}
 			row = append(row, f1(sum/float64(len(netSeeds))))
 		}
@@ -126,7 +148,7 @@ func runFig7(opt Options) (*Result, error) {
 	return res, nil
 }
 
-func lossVsTime(id, title string, net func(int) func(int64) *simnet.Network, opt Options) (*Result, error) {
+func lossVsTime(id, title string, hom bool, opt Options) (*Result, error) {
 	const workers = 8
 	epochs := scaleEpochs(40, opt)
 	res := &Result{
@@ -135,20 +157,36 @@ func lossVsTime(id, title string, net func(int) func(int64) *simnet.Network, opt
 		Header: []string{"model", "approach", "total time (s)", "time to target loss (s)", "final loss"},
 		Curves: map[string][]engine.Point{},
 	}
-	for _, spec := range []nn.ModelSpec{nn.SimResNet18, nn.SimVGG19} {
-		wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-		// LR 0.03 keeps per-epoch convergence comparable across approaches
-		// (see the segmentsExperiment comment): at 0.1 the exact-averaging
-		// baselines hit the plateau in 1-2 epochs on this substrate, which
-		// the paper's DNN workloads do not exhibit.
-		p := cfgParams{spec: spec, wl: wl, net: net(workers), epochs: epochs, lr: 0.03, decayAt: epochs * 7 / 10, overlap: true, seed: opt.Seed + 3}
-		rs := runAll(clusterAlgos(), p)
+	models := []string{"ResNet18", "VGG19"}
+	var ms []*scenario.Manifest
+	for _, model := range models {
+		for _, a := range clusterAlgorithms {
+			// LR 0.03 keeps per-epoch convergence comparable across
+			// approaches (see the segmentsExperiment comment): at 0.1 the
+			// exact-averaging baselines hit the plateau in 1-2 epochs on
+			// this substrate, which the paper's DNN workloads do not
+			// exhibit.
+			m := manifest(a, model, "CIFAR10", workers, epochs, opt)
+			m.LR = 0.03
+			m.LRDecayEpoch = epochs * 7 / 10
+			if hom {
+				homogeneous(m)
+			}
+			ms = append(ms, m)
+		}
+	}
+	all, err := run(id, concurrent, ms)
+	if err != nil {
+		return nil, err
+	}
+	for i, model := range models {
+		rs := all[i*len(clusterAlgorithms) : (i+1)*len(clusterAlgorithms)]
 		target := lossTarget(rs)
 		var netmaxT float64
 		for _, r := range rs {
 			t := r.TimeToLoss(target)
-			res.Rows = append(res.Rows, []string{spec.Name, r.Algo, f1(r.TotalTime), f1(t), fmt.Sprintf("%.3f", r.FinalLoss)})
-			res.Curves[spec.Name+"/"+r.Algo] = r.Curve
+			res.Rows = append(res.Rows, []string{model, r.Algo, f1(r.TotalTime), f1(t), fmt.Sprintf("%.3f", r.FinalLoss)})
+			res.Curves[model+"/"+r.Algo] = r.Curve
 			if r.Algo == "NetMax" {
 				netmaxT = t
 			}
@@ -158,7 +196,7 @@ func lossVsTime(id, title string, net func(int) func(int64) *simnet.Network, opt
 				continue
 			}
 			if t := r.TimeToLoss(target); t > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax speedup over %s at loss %.3f: %.2fx", spec.Name, r.Algo, target, t/netmaxT))
+				res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax speedup over %s at loss %.3f: %.2fx", model, r.Algo, target, t/netmaxT))
 			}
 		}
 	}
@@ -168,7 +206,7 @@ func lossVsTime(id, title string, net func(int) func(int64) *simnet.Network, opt
 // runFig8 reproduces the heterogeneous convergence race (paper Fig. 8:
 // NetMax 3.7x/3.4x/1.9x over Prague/Allreduce/AD-PSGD for ResNet18).
 func runFig8(opt Options) (*Result, error) {
-	res, err := lossVsTime("fig8", "Training loss vs time, heterogeneous", hetNet, opt)
+	res, err := lossVsTime("fig8", "Training loss vs time, heterogeneous", false, opt)
 	if err == nil {
 		res.Notes = append(res.Notes, "paper: ResNet18 speedups 3.7x/3.4x/1.9x; VGG19 2.8x/2.2x/1.7x")
 	}
@@ -178,14 +216,14 @@ func runFig8(opt Options) (*Result, error) {
 // runFig9 reproduces the homogeneous convergence race (paper Fig. 9:
 // NetMax ~ AD-PSGD, both ahead of Allreduce and Prague).
 func runFig9(opt Options) (*Result, error) {
-	res, err := lossVsTime("fig9", "Training loss vs time, homogeneous", homNet, opt)
+	res, err := lossVsTime("fig9", "Training loss vs time, homogeneous", true, opt)
 	if err == nil {
 		res.Notes = append(res.Notes, "paper shape: NetMax and AD-PSGD nearly coincide; both beat Allreduce/Prague")
 	}
 	return res, err
 }
 
-func scalability(id, title string, nodeCounts []int, net func(int) func(int64) *simnet.Network, opt Options) (*Result, error) {
+func scalability(id, title string, nodeCounts []int, hom bool, opt Options) (*Result, error) {
 	epochs := scaleEpochs(12, opt)
 	res := &Result{
 		ID:    id,
@@ -198,18 +236,32 @@ func scalability(id, title string, nodeCounts []int, net func(int) func(int64) *
 			return h
 		}()...),
 	}
+	var ms []*scenario.Manifest
+	for _, a := range clusterAlgorithms {
+		for _, n := range nodeCounts {
+			m := manifest(a, "ResNet18", "CIFAR10", n, epochs, opt)
+			if hom {
+				homogeneous(m)
+			}
+			ms = append(ms, m)
+		}
+	}
+	rs, err := run(id, serial, ms)
+	if err != nil {
+		return nil, err
+	}
 	// Baseline: Allreduce with the smallest node count (the paper's
 	// reference run).
-	wl0 := buildWorkload(data.SynthCIFAR10, nodeCounts[0], opt.Seed+1)
-	p0 := cfgParams{spec: nn.SimResNet18, wl: wl0, net: net(nodeCounts[0]), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-	base := baselines.RunAllreduce(p0.config(opt.Seed + 5)).TotalTime
-
-	for _, a := range clusterAlgos() {
-		row := []string{a.name}
-		for _, n := range nodeCounts {
-			wl := buildWorkload(data.SynthCIFAR10, n, opt.Seed+1)
-			p := cfgParams{spec: nn.SimResNet18, wl: wl, net: net(n), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-			r := a.run(p.config(opt.Seed + 5))
+	var base float64
+	for k, m := range ms {
+		if m.Algorithm == "allreduce" && m.Workers == nodeCounts[0] {
+			base = rs[k].TotalTime
+		}
+	}
+	// Row labels of clusterAlgorithms, in order.
+	for i, label := range []string{"Prague", "Allreduce", "AD-PSGD", "NetMax"} {
+		row := []string{label}
+		for _, r := range rs[i*len(nodeCounts) : (i+1)*len(nodeCounts)] {
 			row = append(row, f2(base/r.TotalTime))
 		}
 		res.Rows = append(res.Rows, row)
@@ -224,7 +276,7 @@ func runFig10(opt Options) (*Result, error) {
 	if opt.Quick {
 		counts = []int{4, 8}
 	}
-	res, err := scalability("fig10", "Speedup vs workers, heterogeneous (ResNet18)", counts, hetNet, opt)
+	res, err := scalability("fig10", "Speedup vs workers, heterogeneous (ResNet18)", counts, false, opt)
 	if err == nil {
 		res.Notes = append(res.Notes, "paper shape: NetMax scales best; gap widens with more nodes")
 	}
@@ -237,7 +289,7 @@ func runFig11(opt Options) (*Result, error) {
 	if opt.Quick {
 		counts = []int{4, 8}
 	}
-	res, err := scalability("fig11", "Speedup vs workers, homogeneous (ResNet18)", counts, homNet, opt)
+	res, err := scalability("fig11", "Speedup vs workers, homogeneous (ResNet18)", counts, true, opt)
 	if err == nil {
 		res.Notes = append(res.Notes, "paper shape: NetMax >= AD-PSGD > Allreduce > Prague")
 	}

@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
 	"netmax/internal/engine"
-	"netmax/internal/nn"
 	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
@@ -18,22 +14,36 @@ func init() {
 	register("fig19", "Cross-region WAN training (Fig. 19, Table VII)", runFig19)
 }
 
+// segments8 is the Section V-F protocol of Figs. 14-15 on 8 workers:
+// paper-8 segment shards, batch 8 per segment, LR 0.03 decayed at 2/3 of
+// the run.
+func segments8(algorithm, model string, epochs int, opt Options) *scenario.Manifest {
+	m := manifest(algorithm, model, "CIFAR100", 8, epochs, opt)
+	m.Partition = &scenario.PartitionSpec{Preset: "paper-8"}
+	m.Batch = 8
+	m.LR = 0.03
+	m.LRDecayEpoch = epochs * 2 / 3
+	return m
+}
+
 // runFig14 reproduces Fig. 14 and Table VI: a small model (MobileNet) on a
 // complex dataset (CIFAR100) with PS-syn/PS-asyn added to the comparison.
 func runFig14(opt Options) (*Result, error) {
-	const workers = 8
 	epochs := scaleEpochs(30, opt)
-	wl := buildWorkload(data.SynthCIFAR100, workers, opt.Seed+1).
-		withSegments(data.SynthCIFAR100, data.PaperSegments8(), opt.Seed+1)
-	p := cfgParams{spec: nn.SimMobileNet, wl: wl, net: hetNet(workers), epochs: epochs, batch: 8, lr: 0.03,
-		decayAt: epochs * 2 / 3, overlap: true, seed: opt.Seed + 3}
+	var ms []*scenario.Manifest
+	for _, a := range []string{"prague", "allreduce", "adpsgd", "ps-sync", "ps-async", "netmax"} {
+		ms = append(ms, segments8(a, "MobileNet", epochs, opt))
+	}
 	res := &Result{
 		ID:     "fig14",
 		Title:  "MobileNet on CIFAR100, heterogeneous, with PS baselines",
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "accuracy"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs := runAll(psAlgos(), p)
+	rs, err := run("fig14", concurrent, ms)
+	if err != nil {
+		return nil, err
+	}
 	target := lossTarget(rs)
 	for _, r := range rs {
 		res.Rows = append(res.Rows, []string{r.Algo, f1(r.TotalTime), f1(r.EpochToLoss(target)),
@@ -48,22 +58,20 @@ func runFig14(opt Options) (*Result, error) {
 
 // runFig15 reproduces Fig. 15: plain AD-PSGD vs AD-PSGD+Monitor vs NetMax.
 func runFig15(opt Options) (*Result, error) {
-	const workers = 8
 	epochs := scaleEpochs(40, opt)
-	wl := buildWorkload(data.SynthCIFAR100, workers, opt.Seed+1).
-		withSegments(data.SynthCIFAR100, data.PaperSegments8(), opt.Seed+1)
-	p := cfgParams{spec: nn.SimResNet18, wl: wl, net: hetNet(workers), epochs: epochs, batch: 8, lr: 0.03,
-		decayAt: epochs * 2 / 3, overlap: true, seed: opt.Seed + 3}
+	var ms []*scenario.Manifest
+	for _, a := range []string{"adpsgd", "adpsgd-monitor", "netmax"} {
+		ms = append(ms, segments8(a, "ResNet18", epochs, opt))
+	}
 	res := &Result{
 		ID:     "fig15",
 		Title:  "Extension of AD-PSGD with Network Monitor",
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "final loss"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs := []*engine.Result{
-		baselines.RunADPSGD(p.config(opt.Seed + 5)),
-		core.RunADPSGDMonitor(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs}),
-		core.Run(p.config(opt.Seed+5), core.Options{Ts: scenario.DefaultMonitorTs}),
+	rs, err := run("fig15", serial, ms)
+	if err != nil {
+		return nil, err
 	}
 	target := lossTarget(rs)
 	for _, r := range rs {
@@ -86,29 +94,34 @@ func runFig19(opt Options) (*Result, error) {
 		Header: []string{"model", "approach", "total time (s)", "time to target (s)", "accuracy"},
 		Curves: map[string][]engine.Point{},
 	}
-	specs := []nn.ModelSpec{nn.SimMobileNet, nn.SimGoogLeNet}
+	models := []string{"MobileNet", "GoogLeNet"}
 	if opt.Quick {
-		specs = specs[:1]
+		models = models[:1]
 	}
-	for _, spec := range specs {
-		wl := buildWorkload(data.SynthMNIST, 6, opt.Seed+1).
-			withLabelSkew(data.SynthMNIST, data.TableVIISkew(), opt.Seed+1)
-		p := cfgParams{spec: spec, wl: wl,
-			net:    func(seed int64) *simnet.Network { return simnet.NewCrossRegion() },
-			epochs: epochs, batch: 8, lr: 0.05, overlap: true, seed: opt.Seed + 3}
-		algos := []algo{
-			netmaxAlgo(),
-			{"AD-PSGD", baselines.RunADPSGD},
-			{"PS-asyn", baselines.RunPSAsync},
-			{"PS-syn", baselines.RunPSSync},
+	algorithms := []string{"netmax", "adpsgd", "ps-async", "ps-sync"}
+	var ms []*scenario.Manifest
+	for _, model := range models {
+		for _, a := range algorithms {
+			m := manifest(a, model, "MNIST", len(simnet.Regions), epochs, opt)
+			m.Network = &scenario.NetworkSpec{Kind: "cross-region"}
+			m.Partition = &scenario.PartitionSpec{Preset: "table-7"}
+			m.Batch = 8
+			m.LR = 0.05
+			ms = append(ms, m)
 		}
-		rs := runAll(algos, p)
+	}
+	all, err := run("fig19", concurrent, ms)
+	if err != nil {
+		return nil, err
+	}
+	for i, model := range models {
+		rs := all[i*len(algorithms) : (i+1)*len(algorithms)]
 		target := lossTarget(rs)
 		var netmaxT float64
 		for _, r := range rs {
-			res.Rows = append(res.Rows, []string{spec.Name, r.Algo, f1(r.TotalTime),
+			res.Rows = append(res.Rows, []string{model, r.Algo, f1(r.TotalTime),
 				f1(r.TimeToLoss(target)), pct(r.FinalAccuracy)})
-			res.Curves[spec.Name+"/"+r.Algo] = r.Curve
+			res.Curves[model+"/"+r.Algo] = r.Curve
 			if r.Algo == "NetMax" {
 				netmaxT = r.TimeToLoss(target)
 			}
@@ -116,7 +129,7 @@ func runFig19(opt Options) (*Result, error) {
 		for _, r := range rs {
 			if r.Algo != "NetMax" && netmaxT > 0 {
 				if t := r.TimeToLoss(target); t > 0 {
-					res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax %.2fx faster than %s", spec.Name, t/netmaxT, r.Algo))
+					res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax %.2fx faster than %s", model, t/netmaxT, r.Algo))
 				}
 			}
 		}

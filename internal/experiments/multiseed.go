@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
 	"netmax/internal/engine"
-	"netmax/internal/nn"
 	"netmax/internal/scenario"
 	"netmax/internal/stats"
 )
@@ -21,41 +17,44 @@ func init() {
 // reports point estimates (3.7x/3.4x/1.9x); this experiment quantifies the
 // run-to-run variance of the reproduction.
 func runStatsSpeedup(opt Options) (*Result, error) {
-	const workers = 8
-	epochs := scaleEpochs(20, opt)
 	seeds := 5
 	if opt.Quick {
 		seeds = 2
 	}
-	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-	run := func(f func(cfg *engine.Config) *engine.Result) []*engine.Result {
-		return stats.Replicate(seeds, opt.Seed+5, func(seed int64) *engine.Result {
-			p := cfgParams{spec: nn.SimResNet18, wl: wl, net: hetNet(workers), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-			return f(p.config(seed))
-		})
+	base := manifest("netmax", "ResNet18", "CIFAR10", 8, scaleEpochs(20, opt), opt)
+	base.Name = "stats-speedup"
+	// The grid expands algorithm-major: each arm's replicas are adjacent,
+	// replica i seeded stats.ReplicaSeed(opt.Seed, i) in every arm.
+	rep, err := scenario.RunSuite(&scenario.Suite{
+		Name: "stats-speedup",
+		Base: &scenario.SuiteMember{Manifest: base},
+		Grid: &scenario.GridSpec{
+			Algorithms: []string{"netmax", "prague", "allreduce", "adpsgd"},
+			Replicate:  &scenario.ReplicateSpec{N: seeds},
+		},
+	}, scenario.SuiteRunOptions{})
+	if err != nil {
+		return nil, err
 	}
-	netmax := run(func(cfg *engine.Config) *engine.Result {
-		return core.Run(cfg, core.Options{Ts: scenario.DefaultMonitorTs})
-	})
+	arm := func(k int) []*engine.Result {
+		out := make([]*engine.Result, seeds)
+		for i := range out {
+			out[i] = rep.Reports[k*seeds+i].Engine
+		}
+		return out
+	}
+	netmax := arm(0)
 	res := &Result{
 		ID:     "stats-speedup",
 		Title:  fmt.Sprintf("Epoch-time speedup of NetMax over baselines (n=%d seeds)", seeds),
 		Header: []string{"baseline", "speedup mean", "stderr", "min", "max"},
 	}
-	for _, b := range []struct {
-		name string
-		run  func(cfg *engine.Config) *engine.Result
-	}{
-		{"Prague", baselines.RunPrague},
-		{"Allreduce-SGD", baselines.RunAllreduce},
-		{"AD-PSGD", baselines.RunADPSGD},
-	} {
-		base := run(b.run)
-		s, err := stats.SpeedupSummary(base, netmax)
+	for i, name := range []string{"Prague", "Allreduce-SGD", "AD-PSGD"} {
+		s, err := stats.SpeedupSummary(arm(i+1), netmax)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, []string{b.name, f2(s.Mean), f2(s.StdErr), f2(s.Min), f2(s.Max)})
+		res.Rows = append(res.Rows, []string{name, f2(s.Mean), f2(s.StdErr), f2(s.Min), f2(s.Max)})
 	}
 	res.Notes = append(res.Notes, "paper point estimates (ResNet18): 3.7x Prague, 3.4x Allreduce, 1.9x AD-PSGD")
 	return res, nil

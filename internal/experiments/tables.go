@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/data"
-	"netmax/internal/nn"
-	"netmax/internal/simnet"
+	"netmax/internal/scenario"
 )
 
 func init() {
@@ -13,22 +11,38 @@ func init() {
 	register("tab3", "Test accuracy over a homogeneous network (Table III)", runTab3)
 }
 
-func accuracyTable(id, title string, nodeCounts []int, net func(int) func(int64) *simnet.Network, opt Options) (*Result, error) {
+func accuracyTable(id, title string, nodeCounts []int, hom bool, opt Options) (*Result, error) {
 	epochs := scaleEpochs(30, opt)
 	res := &Result{
 		ID:     id,
 		Title:  title,
 		Header: []string{"model", "nodes", "Prague", "Allreduce", "AD-PSGD", "NetMax"},
 	}
-	for _, spec := range []nn.ModelSpec{nn.SimResNet18, nn.SimVGG19} {
+	models := []string{"ResNet18", "VGG19"}
+	var ms []*scenario.Manifest
+	for _, model := range models {
 		for _, n := range nodeCounts {
-			wl := buildWorkload(data.SynthCIFAR10, n, opt.Seed+1)
-			p := cfgParams{spec: spec, wl: wl, net: net(n), epochs: epochs, decayAt: epochs * 7 / 10, overlap: true, seed: opt.Seed + 3}
-			row := []string{spec.Name, fmt.Sprint(n)}
-			for _, a := range clusterAlgos() {
-				r := a.run(p.config(opt.Seed + 5))
+			for _, a := range clusterAlgorithms {
+				m := manifest(a, model, "CIFAR10", n, epochs, opt)
+				m.LRDecayEpoch = epochs * 7 / 10
+				if hom {
+					homogeneous(m)
+				}
+				ms = append(ms, m)
+			}
+		}
+	}
+	rs, err := run(id, serial, ms)
+	if err != nil {
+		return nil, err
+	}
+	for _, model := range models {
+		for _, n := range nodeCounts {
+			row := []string{model, fmt.Sprint(n)}
+			for _, r := range rs[:len(clusterAlgorithms)] {
 				row = append(row, pct(r.FinalAccuracy))
 			}
+			rs = rs[len(clusterAlgorithms):]
 			res.Rows = append(res.Rows, row)
 		}
 	}
@@ -42,7 +56,7 @@ func runTab2(opt Options) (*Result, error) {
 	if opt.Quick {
 		counts = []int{4, 8}
 	}
-	return accuracyTable("tab2", "Accuracy, heterogeneous network", counts, hetNet, opt)
+	return accuracyTable("tab2", "Accuracy, heterogeneous network", counts, false, opt)
 }
 
 // runTab3 reproduces Table III: accuracy at 4/6/8 workers, homogeneous.
@@ -51,5 +65,5 @@ func runTab3(opt Options) (*Result, error) {
 	if opt.Quick {
 		counts = []int{4, 8}
 	}
-	return accuracyTable("tab3", "Accuracy, homogeneous network", counts, homNet, opt)
+	return accuracyTable("tab3", "Accuracy, homogeneous network", counts, true, opt)
 }

@@ -73,12 +73,16 @@ func TestLiveGroupCrashOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	cfg := liveConfig(3, 200)
+	// Bound the run by wall clock, not iterations, so it outlasts the
+	// crash window on any host: an iteration bound lets fast survivors
+	// finish before the crash fires and never pull from the downed peer.
+	cfg := liveConfig(3, 0)
+	cfg.Duration = 400 * time.Millisecond
 	cfg.PullTimeout = 300 * time.Millisecond
 	cfg.Churn = []ChurnEvent{{Worker: 0, At: 20 * time.Millisecond, Rejoin: 200 * time.Millisecond}}
 	stats := Run(context.Background(), cfg, hub)
-	if stats.IterationsPerWorker[1] != 200 || stats.IterationsPerWorker[2] != 200 {
-		t.Fatalf("survivors did not finish over TCP: %v", stats.IterationsPerWorker)
+	if stats.IterationsPerWorker[1] == 0 || stats.IterationsPerWorker[2] == 0 {
+		t.Fatalf("survivors made no progress over TCP: %v", stats.IterationsPerWorker)
 	}
 	if stats.PeerDownErrors == 0 {
 		t.Fatal("TCP crash produced no ErrPeerDown pulls")

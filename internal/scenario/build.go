@@ -18,11 +18,14 @@ import (
 )
 
 // BuildEngine translates an engine-runtime manifest into a ready-to-run
-// engine.Config plus the algorithm runner that executes it. The manifest is
-// resolved first, so callers may pass either raw or resolved manifests; the
-// construction mirrors netmax.ClusterConfig exactly (same constructors,
-// same argument order, same RNG consumption), which is what keeps the
-// manifest path bitwise-identical to the hand-assembled one.
+// engine.Config plus the algorithm runner that executes it. It is the one
+// place outside tests that assembles an engine.Config: the paper figures,
+// the examples and the public API all describe their runs as manifests and
+// reach it through Run or RunSuite. The manifest is resolved first, so
+// callers may pass either raw or resolved manifests. The construction
+// matches the hand-assembled reference in determinism_test.go call for call
+// (same constructors, same argument order, same RNG consumption), which the
+// manifest == flags gate enforces bitwise.
 func (m *Manifest) BuildEngine() (*engine.Config, func(*engine.Config) *engine.Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err

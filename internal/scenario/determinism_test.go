@@ -11,9 +11,11 @@ import (
 	"netmax/internal/simnet"
 )
 
-// flagConfig hand-assembles the engine configuration the way the examples
-// and cmd flags historically did — the construction BuildEngine must match
-// call-for-call. It mirrors netmax.ClusterConfig's eval-subset convention.
+// flagConfig hand-assembles the engine configuration independently of
+// BuildEngine — the construction BuildEngine must match call for call. It
+// is the reference for the manifest == flags gate now that BuildEngine is
+// the only non-test builder, so it deliberately spells out the first-400
+// eval subset instead of calling (*data.Dataset).EvalSubset.
 func flagConfig(spec nn.ModelSpec, ds data.Spec, workers, epochs int, seed int64, net *simnet.Network) *engine.Config {
 	train, test := ds.Generate(seed)
 	evalN := 400
@@ -93,7 +95,7 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 	})
 
 	t.Run("netmax heterogeneous", func(t *testing.T) {
-		// The ClusterConfig path: dynamic slow link with the experiments
+		// The paper-cluster run: dynamic slow link with the default
 		// period over an effectively unbounded horizon, seeded by the run
 		// seed — all defaults in the manifest path.
 		cfg := flagConfig(nn.SimMobileNet, data.SynthMNIST, workers, epochs, seed,

@@ -21,7 +21,7 @@ import (
 //   - a base manifest plus an expansion grid ("base" + "grid"): the grid's
 //     algorithm arms, codec arms and replicate block are expanded into the
 //     cross product of member runs. Replication seeds come from
-//     stats.ReplicaSeed, the same derivation internal/stats.Replicate uses.
+//     stats.ReplicaSeed.
 //
 // Resolve turns either form into the explicit run list with every member
 // fully resolved; like Manifest.Resolved, the result is a marshal/parse

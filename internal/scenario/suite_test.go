@@ -114,6 +114,14 @@ func TestSuiteGridExpansion(t *testing.T) {
 			t.Errorf("run %d: seed %d, want %d (stats.ReplicaSeed)", i, mem.Manifest.Seed, want)
 		}
 	}
+	// The replicas of one arm run on pairwise distinct seeds.
+	seen := map[int64]bool{}
+	for _, mem := range r.Runs[:3] {
+		if seen[mem.Manifest.Seed] {
+			t.Errorf("replica seed %d repeats within arm %q", mem.Manifest.Seed, mem.Arm)
+		}
+		seen[mem.Manifest.Seed] = true
+	}
 	first := r.Runs[0]
 	if first.Arm != "netmax-raw" {
 		t.Errorf("arm = %q, want netmax-raw", first.Arm)

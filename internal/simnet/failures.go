@@ -263,16 +263,6 @@ func (s *FailureSchedule) NextTransition(after float64) (float64, bool) {
 	return best, true
 }
 
-// TransitionIn reports whether any membership boundary — a crash, a leave,
-// or a crash's rejoin — occurs at a virtual time t with a < t <= b. Hangs
-// and blackouts are not membership events: peers cannot detect them except
-// by timeout. Defined in terms of NextTransition so the two queries cannot
-// drift apart.
-func (s *FailureSchedule) TransitionIn(a, b float64) bool {
-	t, ok := s.NextTransition(a)
-	return ok && t <= b
-}
-
 // AliveInto fills dst[i] with the membership status of worker i at virtual
 // time now: false only for crashed or departed workers. Hung workers stay
 // in the membership — their failure is undetectable without a timeout.

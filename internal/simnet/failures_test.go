@@ -165,3 +165,13 @@ func TestEmptyScheduleIsInert(t *testing.T) {
 		t.Fatalf("default Detect = %v", s.Detect())
 	}
 }
+
+// TransitionIn reports whether any membership boundary — a crash, a leave,
+// or a crash's rejoin — occurs at a virtual time t with a < t <= b. Hangs
+// and blackouts are not membership events: peers cannot detect them except
+// by timeout. The tests use it as a reference query built on
+// NextTransition.
+func (s *FailureSchedule) TransitionIn(a, b float64) bool {
+	t, ok := s.NextTransition(a)
+	return ok && t <= b
+}

@@ -98,29 +98,6 @@ func SingleMachine(m int) *Topology {
 	return Cluster([]int{m})
 }
 
-// Connected reports whether the adjacency graph is connected (Assumption 1).
-func (t *Topology) Connected() bool {
-	if t.M == 0 {
-		return true
-	}
-	seen := make([]bool, t.M)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for j, ok := range t.Adj[i] {
-			if ok && !seen[j] {
-				seen[j] = true
-				count++
-				stack = append(stack, j)
-			}
-		}
-	}
-	return count == t.M
-}
-
 // slowdown is one entry of the dynamic schedule: from Start, link (A,B) is
 // slowed by Factor.
 type slowdown struct {

@@ -1,9 +1,7 @@
-// Package stats provides multi-seed replication and summary statistics for
-// the experiments: regenerated evaluation claims are reported as mean +/-
+// Package stats provides replica seeds and summary statistics for the
+// experiments: regenerated evaluation claims are reported as mean +/-
 // stderr over several seeds, not single-run point estimates. The scenario
-// suite layer's replicate block draws its seeds from the same derivation
-// (ReplicaSeed), so declarative sweeps and programmatic Replicate calls
-// run identical seed sets.
+// suite layer's replicate block draws its seeds from ReplicaSeed.
 package stats
 
 import (
@@ -54,21 +52,8 @@ func (s Summary) String() string {
 
 // ReplicaSeed derives replica i's seed from a base seed: seeds are spaced
 // 1000 apart so per-replica derived seeds (network schedules, partitions)
-// never collide across replicas. Both Replicate and the scenario suite
-// layer's replicate block use this derivation, so a suite's multi-seed
-// sweep runs the exact seeds a hand-written Replicate call would.
+// never collide across replicas.
 func ReplicaSeed(base int64, i int) int64 { return base + int64(i)*1000 }
-
-// Replicate runs a seeded experiment n times and returns its results.
-func Replicate(n int, baseSeed int64, run func(seed int64) *engine.Result) []*engine.Result {
-	out := make([]*engine.Result, n)
-	// Seeds are disjoint and runs are internally deterministic, so the
-	// replicas execute concurrently and land in seed order.
-	engine.Concurrently(n, engine.ResolveParallelism(0), func(i int) {
-		out[i] = run(ReplicaSeed(baseSeed, i))
-	})
-	return out
-}
 
 // SpeedupSummary computes per-seed speedups base[i]/test[i] and summarizes
 // them; the two slices must be paired by seed.

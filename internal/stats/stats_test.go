@@ -61,20 +61,6 @@ func TestSummarizeBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestReplicateSeedsDistinct(t *testing.T) {
-	var seeds []int64
-	rs := Replicate(3, 100, func(seed int64) *engine.Result {
-		seeds = append(seeds, seed)
-		return &engine.Result{TotalTime: float64(seed)}
-	})
-	if len(rs) != 3 {
-		t.Fatalf("replicates = %d", len(rs))
-	}
-	if seeds[0] == seeds[1] || seeds[1] == seeds[2] {
-		t.Fatalf("seeds not distinct: %v", seeds)
-	}
-}
-
 func TestSpeedupSummary(t *testing.T) {
 	base := []*engine.Result{{TotalTime: 20}, {TotalTime: 40}}
 	test := []*engine.Result{{TotalTime: 10}, {TotalTime: 10}}

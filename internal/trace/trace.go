@@ -7,7 +7,6 @@ package trace
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -94,25 +93,4 @@ func WriteResultJSON(w io.Writer, r *engine.Result) error {
 		BytesSent:     r.BytesSent,
 		Epochs:        r.Epochs,
 	})
-}
-
-// ReadResultJSON parses a result written by WriteResultJSON back into an
-// engine.Result.
-func ReadResultJSON(r io.Reader) (*engine.Result, error) {
-	var rj ResultJSON
-	if err := json.NewDecoder(r).Decode(&rj); err != nil {
-		return nil, fmt.Errorf("trace: decode result: %w", err)
-	}
-	return &engine.Result{
-		Algo:          rj.Algo,
-		Curve:         rj.Curve,
-		FinalLoss:     rj.FinalLoss,
-		FinalAccuracy: rj.FinalAccuracy,
-		TotalTime:     rj.TotalTime,
-		GlobalSteps:   rj.GlobalSteps,
-		CompSecs:      rj.CompSecs,
-		CommSecs:      rj.CommSecs,
-		BytesSent:     rj.BytesSent,
-		Epochs:        rj.Epochs,
-	}, nil
 }

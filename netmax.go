@@ -6,15 +6,24 @@
 // heterogeneous-network simulator that regenerates every table and figure
 // of the paper's evaluation.
 //
-// Quick start:
+// Every training run is a declarative scenario manifest. Quick start:
 //
-//	train, test := netmax.Dataset(netmax.SynthCIFAR10, 1)
-//	cfg := netmax.ClusterConfig(netmax.SimResNet18, train, test, 8, 40, 1)
-//	result := netmax.Train(cfg, netmax.Options{})
-//	fmt.Println(result.FinalAccuracy, result.TotalTime)
+//	sc, err := netmax.ParseScenario([]byte(`{
+//	  "name": "quickstart",
+//	  "model": "ResNet18",
+//	  "dataset": "CIFAR10",
+//	  "workers": 8,
+//	  "epochs": 40,
+//	  "lr_decay_epoch": 28
+//	}`))
+//	rep, err := netmax.RunScenario(sc, netmax.ScenarioRunOptions{})
+//	fmt.Println(rep.Engine.FinalAccuracy, rep.Engine.TotalTime)
 //
-// See the examples directory for runnable scenarios and cmd/netmax-bench
-// for the experiment harness.
+// The manifest defaults place the workers on the paper's heterogeneous
+// cluster (Section V-A) and run NetMax; "algorithm" selects a baseline
+// instead. See the scenarios directory for checked-in manifests and suites,
+// the examples directory for runnable scenarios, and cmd/netmax-bench for
+// the experiment harness.
 //
 // # Performance
 //
@@ -23,29 +32,19 @@
 // size-keyed arena instead of allocating per op, and the discrete-event
 // engine steps workers whose events are independent at the same virtual
 // timestamp concurrently. All of it is bitwise deterministic — results are
-// identical at any parallelism, only wall-clock changes. Config.Parallelism
-// (or Options.Parallelism for NetMax runs) bounds the concurrency: 0 means
-// one worker per CPU, 1 reproduces the serial loop. cmd/netmax-bench -par
-// pins it process-wide and -bench-out records the perf trajectory (see
-// BENCH_baseline.json / BENCH_pr1.json and README.md for the buffer-pool
-// lifecycle rules).
+// identical at any parallelism, only wall-clock changes. A manifest's
+// "parallelism" field bounds the concurrency: 0 means one worker per CPU,
+// 1 reproduces the serial loop. cmd/netmax-bench -par pins it process-wide
+// and -bench-out records the perf trajectory (see BENCH_baseline.json /
+// BENCH_pr1.json and README.md for the buffer-pool lifecycle rules).
 package netmax
 
 import (
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/experiments"
-	"netmax/internal/nn"
 	"netmax/internal/policy"
 	"netmax/internal/scenario"
-	"netmax/internal/simnet"
 )
-
-// Config describes one training run (model, data partition, network,
-// hyper-parameters). See engine.Config for field documentation.
-type Config = engine.Config
 
 // Result aggregates the metrics of a run: loss curve, accuracy, virtual
 // wall-clock, and the computation/communication cost decomposition.
@@ -54,124 +53,9 @@ type Result = engine.Result
 // Point is one sample of a training curve.
 type Point = engine.Point
 
-// Options tunes NetMax (monitor period Ts, EMA beta, policy grid size,
-// ablation switches).
-type Options = core.Options
-
 // Policy is a generated communication policy (P, rho, lambda2, predicted
 // convergence time).
 type Policy = policy.Policy
-
-// FailureSchedule is a deterministic schedule of churn events — crashes,
-// hangs, permanent leaves, link blackouts — injected into a simulated run
-// via Config.Failures. See internal/simnet.
-type FailureSchedule = simnet.FailureSchedule
-
-// NewFailureSchedule returns an empty churn schedule; chain Crash, Hang,
-// Leave and Blackout to populate it.
-var NewFailureSchedule = simnet.NewFailureSchedule
-
-// NewRandomChurn builds a deterministic random crash schedule (expected
-// crashes per worker over the horizon, mean downtime seconds).
-var NewRandomChurn = simnet.NewRandomChurn
-
-// Model specs mirroring the paper's models (parameter counts and compute
-// costs preserved; see internal/nn).
-var (
-	SimMobileNet = nn.SimMobileNet
-	SimResNet18  = nn.SimResNet18
-	SimResNet50  = nn.SimResNet50
-	SimVGG19     = nn.SimVGG19
-	SimGoogLeNet = nn.SimGoogLeNet
-)
-
-// Dataset specs substituting the paper's datasets (class counts preserved).
-var (
-	SynthMNIST        = data.SynthMNIST
-	SynthCIFAR10      = data.SynthCIFAR10
-	SynthCIFAR100     = data.SynthCIFAR100
-	SynthTinyImageNet = data.SynthTinyImageNet
-	SynthImageNet     = data.SynthImageNet
-)
-
-// Dataset materializes a dataset spec deterministically.
-func Dataset(spec data.Spec, seed int64) (train, test *data.Dataset) {
-	return spec.Generate(seed)
-}
-
-// ClusterConfig builds a ready-to-run heterogeneous-cluster configuration:
-// `workers` nodes placed as in the paper (Section V-A), uniform data
-// partition, the dynamic 2-100x slow-link schedule, and the paper's
-// default hyper-parameters.
-func ClusterConfig(spec nn.ModelSpec, train, test *data.Dataset, workers, epochs int, seed int64) *Config {
-	topo := simnet.PaperCluster(workers)
-	return &Config{
-		Spec:         spec,
-		Part:         data.Uniform(train, workers, seed),
-		Eval:         train.EvalSubset(),
-		Test:         test,
-		Net:          simnet.NewHeterogeneousPeriod(topo, seed, 1e7, scenario.DefaultSlowPeriod),
-		LR:           0.1,
-		Batch:        16,
-		Epochs:       epochs,
-		Seed:         seed,
-		Overlap:      true,
-		LRDecayEpoch: epochs * 7 / 10,
-	}
-}
-
-// HomogeneousConfig is ClusterConfig on the single-server 10 Gbps network.
-func HomogeneousConfig(spec nn.ModelSpec, train, test *data.Dataset, workers, epochs int, seed int64) *Config {
-	cfg := ClusterConfig(spec, train, test, workers, epochs, seed)
-	cfg.Net = simnet.NewHomogeneous(simnet.SingleMachine(workers))
-	return cfg
-}
-
-// Train runs NetMax (consensus SGD + Network Monitor) and returns the
-// aggregated result.
-func Train(cfg *Config, opts Options) *Result {
-	if opts.Ts <= 0 {
-		opts.Ts = scenario.DefaultMonitorTs
-	}
-	return core.Run(cfg, opts)
-}
-
-// Baseline trainers, for comparisons on identical configurations.
-var (
-	// TrainADPSGD runs asynchronous decentralized parallel SGD [Lian et al.].
-	TrainADPSGD = baselines.RunADPSGD
-	// TrainAllreduce runs synchronous ring-allreduce SGD.
-	TrainAllreduce = baselines.RunAllreduce
-	// TrainPrague runs Prague-style randomized partial allreduce.
-	TrainPrague = baselines.RunPrague
-	// TrainPSSync runs a synchronous parameter server.
-	TrainPSSync = baselines.RunPSSync
-	// TrainPSAsync runs an asynchronous parameter server.
-	TrainPSAsync = baselines.RunPSAsync
-	// TrainGossip runs GoSGD-style uniform gossip.
-	TrainGossip = baselines.RunGossip
-	// TrainSAPS runs SAPS-PSGD on the static initially-fast subgraph.
-	TrainSAPS = baselines.RunSAPS
-	// TrainDLion runs DLion-style capacity-proportional partial transfers.
-	TrainDLion = baselines.RunDLion
-	// TrainSyncDPSGD runs synchronous D-PSGD neighborhood averaging.
-	TrainSyncDPSGD = baselines.RunSyncDPSGD
-)
-
-// TrainHop runs Hop-style bounded-staleness gossip; staleness <= 0 selects
-// the default bound.
-func TrainHop(cfg *Config, staleness int) *Result {
-	return baselines.RunHop(cfg, staleness)
-}
-
-// TrainADPSGDMonitor runs the Section III-D extension: AD-PSGD steered by
-// the Network Monitor's adaptive policy.
-func TrainADPSGDMonitor(cfg *Config, opts Options) *Result {
-	if opts.Ts <= 0 {
-		opts.Ts = scenario.DefaultMonitorTs
-	}
-	return core.RunADPSGDMonitor(cfg, opts)
-}
 
 // GeneratePolicy runs Algorithm 3 directly on an iteration-time matrix:
 // times[i][m] is worker i's measured iteration time against neighbor m, adj

@@ -6,10 +6,18 @@ import (
 	"netmax/internal/simnet"
 )
 
+// runEngine runs an engine-runtime manifest through the public entry point.
+func runEngine(t *testing.T, sc *Scenario) *Result {
+	t.Helper()
+	rep, err := RunScenario(sc, ScenarioRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Engine
+}
+
 func TestPublicQuickstartPath(t *testing.T) {
-	train, test := Dataset(SynthMNIST, 1)
-	cfg := ClusterConfig(SimMobileNet, train, test, 4, 4, 1)
-	r := Train(cfg, Options{})
+	r := runEngine(t, &Scenario{Name: "quickstart", Model: "MobileNet", Dataset: "MNIST", Workers: 4, Epochs: 4, LRDecayEpoch: 2})
 	if r.Epochs != 4 {
 		t.Fatalf("epochs = %d", r.Epochs)
 	}
@@ -19,12 +27,25 @@ func TestPublicQuickstartPath(t *testing.T) {
 }
 
 func TestPublicBaselinesShareConfigShape(t *testing.T) {
-	train, test := Dataset(SynthMNIST, 1)
-	for _, f := range []func(*Config) *Result{TrainADPSGD, TrainAllreduce, TrainGossip} {
-		cfg := HomogeneousConfig(SimMobileNet, train, test, 4, 3, 1)
-		r := f(cfg)
+	sc, err := ParseScenario([]byte(`{
+	  "name": "homogeneous",
+	  "model": "MobileNet",
+	  "dataset": "MNIST",
+	  "workers": 4,
+	  "epochs": 3,
+	  "lr_decay_epoch": 2,
+	  "topology": {"kind": "single-machine"},
+	  "network": {"kind": "homogeneous"}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"adpsgd", "allreduce", "gossip"} {
+		run := *sc
+		run.Algorithm = algo
+		r := runEngine(t, &run)
 		if r.Epochs != 3 || r.TotalTime <= 0 {
-			t.Fatalf("baseline run incomplete: %+v", r)
+			t.Fatalf("%s run incomplete: %+v", algo, r)
 		}
 	}
 }
@@ -59,9 +80,7 @@ func TestPublicExperiment(t *testing.T) {
 }
 
 func TestPublicADPSGDMonitor(t *testing.T) {
-	train, test := Dataset(SynthMNIST, 1)
-	cfg := ClusterConfig(SimMobileNet, train, test, 4, 3, 1)
-	r := TrainADPSGDMonitor(cfg, Options{})
+	r := runEngine(t, &Scenario{Name: "monitor", Algorithm: "adpsgd-monitor", Model: "MobileNet", Dataset: "MNIST", Workers: 4, Epochs: 3, LRDecayEpoch: 2})
 	if r.Algo != "AD-PSGD+Monitor" {
 		t.Fatalf("algo = %q", r.Algo)
 	}
