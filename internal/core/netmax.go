@@ -31,8 +31,6 @@ type Options struct {
 	Beta float64
 	// PolicyRounds sets Algorithm 3's K and R grids (default 10).
 	PolicyRounds int
-	// Epsilon is the Eq. 9 convergence target (default 1e-2).
-	Epsilon float64
 	// UniformPolicy disables the adaptive policy (the "uniform" arm of the
 	// Fig. 7 ablation): the monitor still runs but its output is ignored.
 	UniformPolicy bool
@@ -41,11 +39,6 @@ type Options struct {
 	// monitor this is exactly the AD-PSGD+Monitor extension of
 	// Section III-D / Fig. 15.
 	FixedBlend bool
-	// Parallelism, when non-zero, overrides the engine config's host
-	// parallelism for this run (0 = leave the config's setting, which
-	// itself defaults to NumCPU; 1 = serial). Results are bitwise
-	// identical at any setting — see engine.Config.Parallelism.
-	Parallelism int
 	// StalePeriods enables the Network Monitor's liveness tracking: a
 	// worker silent for this many monitor periods is evicted and policies
 	// regenerate over the live subgraph (see monitor.Config.StalePeriods).
@@ -63,9 +56,6 @@ func (o *Options) defaults() {
 	}
 	if o.PolicyRounds <= 0 {
 		o.PolicyRounds = 10
-	}
-	if o.Epsilon <= 0 {
-		o.Epsilon = 1e-2
 	}
 }
 
@@ -128,7 +118,6 @@ func newBehavior(cfg *engine.Config, opts Options) *behavior {
 		Period:         opts.Ts,
 		OuterRounds:    opts.PolicyRounds,
 		InnerRounds:    opts.PolicyRounds,
-		Epsilon:        opts.Epsilon,
 		AveragingBlend: opts.FixedBlend,
 		StalePeriods:   opts.StalePeriods,
 	})
@@ -224,20 +213,8 @@ func (b *behavior) Tick(now float64) {
 	b.rho = pol.Rho
 }
 
-// withParallelism applies an Options-level parallelism override on a copy,
-// leaving the caller's config untouched for subsequent runs.
-func withParallelism(cfg *engine.Config, opts Options) *engine.Config {
-	if opts.Parallelism == 0 || opts.Parallelism == cfg.Parallelism {
-		return cfg
-	}
-	c := *cfg
-	c.Parallelism = opts.Parallelism
-	return &c
-}
-
 // Run trains with NetMax under cfg and returns the aggregated result.
 func Run(cfg *engine.Config, opts Options) *engine.Result {
-	cfg = withParallelism(cfg, opts)
 	return engine.RunAsync(cfg, newBehavior(cfg, opts), "NetMax")
 }
 
@@ -245,7 +222,6 @@ func Run(cfg *engine.Config, opts Options) *engine.Result {
 // from the Network Monitor, but AD-PSGD's fixed averaging weight.
 func RunADPSGDMonitor(cfg *engine.Config, opts Options) *engine.Result {
 	opts.FixedBlend = true
-	cfg = withParallelism(cfg, opts)
 	return engine.RunAsync(cfg, newBehavior(cfg, opts), "AD-PSGD+Monitor")
 }
 

@@ -180,7 +180,7 @@ func TestFixedBlendOption(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
 	o.defaults()
-	if o.Ts != 120 || o.Beta != 0.5 || o.PolicyRounds != 10 || o.Epsilon != 1e-2 {
+	if o.Ts != 120 || o.Beta != 0.5 || o.PolicyRounds != 10 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

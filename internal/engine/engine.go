@@ -20,9 +20,6 @@ import (
 	"netmax/internal/tensor"
 )
 
-// backward runs reverse-mode autodiff on a scalar loss.
-func backward(v *autograd.Value) { autograd.Backward(v) }
-
 // Config describes one training run.
 type Config struct {
 	Spec nn.ModelSpec
@@ -171,7 +168,7 @@ func (w *Worker) NextBatch() (x *tensor.Tensor, labels []int) {
 func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) float64 {
 	w.Model.ZeroGrad()
 	l := w.Model.Loss(x, labels)
-	backward(l)
+	autograd.Backward(l)
 	return l.Item()
 }
 

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netmax/internal/autograd"
 	"netmax/internal/codec"
 	"netmax/internal/data"
 	"netmax/internal/monitor"
@@ -34,8 +35,6 @@ type Config struct {
 	Seed  int64
 	// Ts is the monitor's wall-clock policy period.
 	Ts time.Duration
-	// Beta is the EMA smoothing factor.
-	Beta float64
 	// Duration bounds the run (wall clock); zero means rely on Iterations.
 	Duration time.Duration
 	// Iterations bounds per-worker iterations; zero means rely on Duration.
@@ -76,6 +75,9 @@ const DefaultPullTimeout = 2 * time.Second
 // DefaultStalePeriods is the monitor liveness window (in Ts periods)
 // applied when Config.StalePeriods is zero.
 const DefaultStalePeriods = 3
+
+// beta is the EMA smoothing factor β of Algorithm 2's per-link time vector.
+const beta = 0.5
 
 // Stats summarizes a live run.
 type Stats struct {
@@ -156,10 +158,6 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	ts := cfg.Ts
 	if ts <= 0 {
 		ts = 500 * time.Millisecond
-	}
-	beta := cfg.Beta
-	if beta <= 0 || beta >= 1 {
-		beta = 0.5
 	}
 	pullTimeout := cfg.PullTimeout
 	if pullTimeout == 0 {
@@ -424,7 +422,7 @@ func (w *worker) gradStep(it int) {
 	defer w.mu.Unlock()
 	w.model.ZeroGrad()
 	loss := w.model.Loss(x, labels)
-	backward(loss)
+	autograd.Backward(loss)
 	w.opt.Step(w.model)
 }
 

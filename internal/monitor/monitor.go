@@ -26,8 +26,6 @@ type Config struct {
 	Period float64
 	// OuterRounds/InnerRounds are Algorithm 3's grid sizes (default 10).
 	OuterRounds, InnerRounds int
-	// Epsilon is the convergence target of Eq. 9 (default 1e-2).
-	Epsilon float64
 	// AveragingBlend selects the Section III-D extension mode (fixed 1/2
 	// averaging weight) when generating policies.
 	AveragingBlend bool
@@ -312,7 +310,6 @@ func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 		Alpha:          mo.cfg.Alpha,
 		OuterRounds:    mo.cfg.OuterRounds,
 		InnerRounds:    mo.cfg.InnerRounds,
-		Epsilon:        mo.cfg.Epsilon,
 		AveragingBlend: mo.cfg.AveragingBlend,
 	}, alive)
 	mo.mu.Lock()

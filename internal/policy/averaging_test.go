@@ -8,6 +8,14 @@ import (
 	"netmax/internal/simnet"
 )
 
+// BuildYAveraging constructs Y for the Section III-D extension, where the
+// update D^k = I + (1/2) e_i(e_m-e_i)ᵀ uses AD-PSGD's fixed averaging
+// weight instead of αργ.
+func BuildYAveraging(p [][]float64, times [][]float64, adj [][]bool) *linalg.Matrix {
+	pg := GlobalStepProbs(AvgIterTimes(p, times, adj))
+	return buildYWeighted(p, adj, func(i, j int) float64 { return 0.5 }, pg)
+}
+
 func TestAveragingBlendPolicyFeasible(t *testing.T) {
 	m := 6
 	times := hetTimes(m, 21)

@@ -152,14 +152,6 @@ func buildYWithProbs(p [][]float64, adj [][]bool, alpha, rho float64, pg []float
 	return buildYWeighted(p, adj, func(i, j int) float64 { return ar * gamma(i, j) }, pg)
 }
 
-// BuildYAveraging constructs Y for the Section III-D extension, where the
-// update D^k = I + (1/2) e_i(e_m-e_i)ᵀ uses AD-PSGD's fixed averaging
-// weight instead of αργ.
-func BuildYAveraging(p [][]float64, times [][]float64, adj [][]bool) *linalg.Matrix {
-	pg := GlobalStepProbs(AvgIterTimes(p, times, adj))
-	return buildYWeighted(p, adj, func(i, j int) float64 { return 0.5 }, pg)
-}
-
 // buildYWeighted evaluates E[(D^k)ᵀD^k] for the generic update
 // D^k = I + w(i,m)·e_i(e_m-e_i)ᵀ: with w = αργ this is Eq. (22); with
 // w = 1/2 it is the averaging extension. In terms of w the entries are
@@ -311,7 +303,7 @@ func Generate(in Input) (*Policy, error) {
 	if eps <= 0 || eps >= 1 {
 		eps = 1e-2
 	}
-	lr, ur := FeasibleRhoInterval(in.Alpha)
+	_, ur := FeasibleRhoInterval(in.Alpha)
 	// The row floors p_im >= 2αρ must fit within a probability row, which
 	// caps ρ at 1/(2α·deg_max) (the paper's Eq. 33 for fully connected
 	// graphs). Searching beyond that wastes the whole grid on infeasible
@@ -338,7 +330,6 @@ func Generate(in Input) (*Policy, error) {
 	// uniform grid like the paper's pseudo-code would need a very large K
 	// to land inside it; geometric spacing covers three decades with the
 	// same K.
-	_ = lr
 	if in.AveragingBlend {
 		// Section III-D: the blend weight is fixed at 1/2, so ρ plays no
 		// role in the update and a single inner search suffices.

@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
 	"netmax/internal/baselines"
@@ -72,7 +70,6 @@ func (m *Manifest) BuildEngine() (*engine.Config, func(*engine.Config) *engine.R
 		Overlap:      *r.Overlap,
 		LRDecayEpoch: r.LRDecayEpoch,
 		ComputeScale: r.buildComputeScale(),
-		Parallelism:  r.Parallelism,
 		Codec:        cdc,
 		Failures:     failures,
 	}
@@ -127,7 +124,6 @@ func (r *Manifest) coreOptions() core.Options {
 		Ts:            nm.TsSecs,
 		Beta:          nm.Beta,
 		PolicyRounds:  nm.PolicyRounds,
-		Epsilon:       nm.Epsilon,
 		UniformPolicy: nm.UniformPolicy,
 		FixedBlend:    nm.FixedBlend,
 		StalePeriods:  nm.StalePeriods,
@@ -209,47 +205,19 @@ func (r *Manifest) buildCodec() (codec.Codec, error) {
 	return codec.ByName(c.Name)
 }
 
-// buildComputeScale materializes the compute-heterogeneity distribution.
+// buildComputeScale materializes the straggler as per-worker multipliers
+// on gradient-computation time.
 func (r *Manifest) buildComputeScale() []float64 {
 	c := r.Compute
 	if c == nil {
 		return nil
 	}
-	switch c.Kind {
-	case "explicit":
-		return append([]float64(nil), c.Scale...)
-	case "straggler":
-		scale := make([]float64, r.Workers)
-		for i := range scale {
-			scale[i] = 1
-		}
-		scale[c.Worker] = c.Factor
-		return scale
-	case "linear":
-		scale := make([]float64, r.Workers)
-		for i := range scale {
-			frac := 0.0
-			if r.Workers > 1 {
-				frac = float64(i) / float64(r.Workers-1)
-			}
-			scale[i] = c.Min + frac*(c.Max-c.Min)
-		}
-		return scale
-	case "lognormal":
-		seed := r.Seed
-		if c.Seed != nil {
-			seed = *c.Seed
-		}
-		rng := rand.New(rand.NewSource(seed))
-		scale := make([]float64, r.Workers)
-		for i := range scale {
-			// Median 1: half the workers are faster than nominal, half
-			// slower, with Sigma controlling the spread.
-			scale[i] = math.Exp(rng.NormFloat64() * c.Sigma)
-		}
-		return scale
+	scale := make([]float64, r.Workers)
+	for i := range scale {
+		scale[i] = 1
 	}
-	return nil
+	scale[c.Worker] = c.Factor
+	return scale
 }
 
 // buildFailures materializes the failure spec into a simnet schedule; a nil
@@ -326,7 +294,6 @@ func (m *Manifest) BuildLive() (live.Config, live.Hub, func() error, error) {
 		Batch:        r.Batch,
 		Seed:         r.Seed,
 		Ts:           time.Duration(l.TsMillis) * time.Millisecond,
-		Beta:         l.Beta,
 		Duration:     time.Duration(l.DurationSecs * float64(time.Second)),
 		Iterations:   l.Iterations,
 		Uniform:      l.Uniform,

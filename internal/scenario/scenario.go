@@ -6,8 +6,10 @@
 // manifest is a single JSON document that fully describes a run: the
 // runtime (discrete-event engine or live process group), the algorithm and
 // its options, the topology and network dynamics, worker count, data
-// partitioning, compute heterogeneity, failure schedule, wire codec, seeds,
-// host parallelism and output selections.
+// partitioning, compute heterogeneity, failure schedule, wire codec, seeds
+// and output selections. Host parallelism is not part of a run's
+// description: results are bitwise identical at any setting, so it is a
+// process-wide flag (-par) of the commands that run manifests.
 //
 // The lifecycle is
 //
@@ -87,10 +89,6 @@ type Manifest struct {
 	// Overlap enables Algorithm 2's compute/communication overlap
 	// (default true). Engine-only.
 	Overlap *bool `json:"overlap,omitempty"`
-	// Parallelism bounds host-level concurrency: 0 (default) one worker
-	// per CPU, 1 serial. Results are bitwise identical at any setting.
-	// Engine-only.
-	Parallelism int `json:"parallelism,omitempty"`
 
 	Topology  *TopologySpec  `json:"topology,omitempty"`
 	Network   *NetworkSpec   `json:"network,omitempty"`
@@ -153,26 +151,13 @@ type PartitionSpec struct {
 	Preset string `json:"preset,omitempty"`
 }
 
-// ComputeSpec describes compute heterogeneity: per-worker multipliers on
-// gradient-computation time. Engine-only.
+// ComputeSpec describes compute heterogeneity: one straggler whose
+// gradient computation takes Factor times the nominal time. Engine-only.
 type ComputeSpec struct {
-	// Kind: "explicit" (Scale given verbatim), "straggler" (one worker
-	// Factor-times slower), "linear" (a Min..Max ramp across workers), or
-	// "lognormal" (deterministic lognormal draws with the given Sigma).
-	Kind string `json:"kind"`
-	// Scale is the per-worker multiplier vector for kind "explicit".
-	Scale []float64 `json:"scale,omitempty"`
-	// Worker and Factor configure kind "straggler".
+	// Kind must be "straggler".
+	Kind   string  `json:"kind"`
 	Worker int     `json:"worker,omitempty"`
 	Factor float64 `json:"factor,omitempty"`
-	// Min and Max configure kind "linear": worker i's multiplier ramps
-	// linearly from Min (worker 0) to Max (last worker).
-	Min float64 `json:"min,omitempty"`
-	Max float64 `json:"max,omitempty"`
-	// Sigma and Seed configure kind "lognormal"; nil Seed uses the
-	// manifest seed.
-	Sigma float64 `json:"sigma,omitempty"`
-	Seed  *int64  `json:"seed,omitempty"`
 }
 
 // CodecSpec selects the wire compression codec for model pulls.
@@ -232,8 +217,6 @@ type NetMaxSpec struct {
 	Beta float64 `json:"beta,omitempty"`
 	// PolicyRounds sets Algorithm 3's K and R grids (default 10).
 	PolicyRounds int `json:"policy_rounds,omitempty"`
-	// Epsilon is the Eq. 9 convergence target (default 0.01).
-	Epsilon float64 `json:"epsilon,omitempty"`
 	// UniformPolicy disables the adaptive policy (the uniform ablation).
 	UniformPolicy bool `json:"uniform_policy,omitempty"`
 	// FixedBlend replaces the 1/p-scaled consensus weight with plain
@@ -264,8 +247,6 @@ type LiveSpec struct {
 	StalePeriods int `json:"stale_periods,omitempty"`
 	// Uniform disables the adaptive policy (AD-PSGD-style selection).
 	Uniform bool `json:"uniform,omitempty"`
-	// Beta is the EMA smoothing factor (default 0.5).
-	Beta float64 `json:"beta,omitempty"`
 	// Latency injects artificial latency on the local transport.
 	Latency *LatencySpec `json:"latency,omitempty"`
 	// Churn schedules wall-clock crash/rejoin events.
@@ -398,7 +379,7 @@ func orStr(v, d string) string {
 func (m *Manifest) Resolved() *Manifest {
 	r := m.clone()
 	r.Runtime = orStr(r.Runtime, DefaultRuntime)
-	r.Algorithm = orStr(r.Algorithm, defaultAlgorithm(r.Runtime))
+	r.Algorithm = orStr(r.Algorithm, DefaultAlgorithm)
 	r.Model = orStr(r.Model, DefaultModel)
 	r.Dataset = orStr(r.Dataset, DefaultDataset)
 	if r.Seed == 0 {
@@ -442,9 +423,6 @@ func (m *Manifest) Resolved() *Manifest {
 		if l.StalePeriods == 0 {
 			l.StalePeriods = DefaultLiveStale
 		}
-		if l.Beta == 0 {
-			l.Beta = 0.5
-		}
 	default: // engine
 		if r.Epochs == 0 {
 			r.Epochs = DefaultEpochs
@@ -486,9 +464,6 @@ func (m *Manifest) Resolved() *Manifest {
 				rc.Seed = i64Ptr(r.Seed)
 			}
 		}
-		if r.Compute != nil && r.Compute.Kind == "lognormal" && r.Compute.Seed == nil {
-			r.Compute.Seed = i64Ptr(r.Seed)
-		}
 		if usesMonitor(r.Algorithm) {
 			if r.NetMax == nil {
 				r.NetMax = &NetMaxSpec{}
@@ -502,9 +477,6 @@ func (m *Manifest) Resolved() *Manifest {
 			}
 			if nm.PolicyRounds == 0 {
 				nm.PolicyRounds = 10
-			}
-			if nm.Epsilon == 0 {
-				nm.Epsilon = 0.01
 			}
 		}
 	}
@@ -544,11 +516,6 @@ func (m *Manifest) ApplyQuick() *Manifest {
 		}
 	}
 	return r
-}
-
-func defaultAlgorithm(runtime string) string {
-	_ = runtime
-	return DefaultAlgorithm
 }
 
 // usesMonitor reports whether the algorithm consumes the NetMax spec.
@@ -649,9 +616,6 @@ func (m *Manifest) validateOne() error {
 	}
 	if r.LR <= 0 {
 		e.addf("lr must be positive, got %g", r.LR)
-	}
-	if r.Parallelism < 0 {
-		e.addf("parallelism must be >= 0, got %d", r.Parallelism)
 	}
 	if r.HopStaleness < 0 {
 		e.addf("hop_staleness must be >= 0, got %d", r.HopStaleness)
@@ -769,9 +733,6 @@ func validateEngine(e *errorList, m, r *Manifest) {
 		if nm.PolicyRounds < 1 {
 			e.addf("netmax.policy_rounds must be >= 1, got %d", nm.PolicyRounds)
 		}
-		if nm.Epsilon <= 0 {
-			e.addf("netmax.epsilon must be positive, got %g", nm.Epsilon)
-		}
 		if nm.StalePeriods < 0 {
 			e.addf("netmax.stale_periods must be >= 0, got %d", nm.StalePeriods)
 		}
@@ -838,33 +799,14 @@ func validateCompute(e *errorList, r *Manifest) {
 	if c == nil {
 		return
 	}
-	switch c.Kind {
-	case "explicit":
-		if len(c.Scale) != r.Workers {
-			e.addf("compute.scale has %d entries, want one per worker (%d)", len(c.Scale), r.Workers)
-		}
-		for i, s := range c.Scale {
-			if s <= 0 {
-				e.addf("compute.scale[%d] must be positive, got %g", i, s)
-			}
-		}
-	case "straggler":
-		if c.Worker < 0 || c.Worker >= r.Workers {
-			e.addf("compute.worker %d outside [0, %d)", c.Worker, r.Workers)
-		}
-		if c.Factor <= 0 {
-			e.addf("compute.factor must be positive, got %g", c.Factor)
-		}
-	case "linear":
-		if c.Min <= 0 || c.Max < c.Min {
-			e.addf("compute linear ramp requires 0 < min <= max, got min %g max %g", c.Min, c.Max)
-		}
-	case "lognormal":
-		if c.Sigma <= 0 {
-			e.addf("compute.sigma must be positive, got %g", c.Sigma)
-		}
-	default:
-		e.addf("unknown compute kind %q (want explicit, straggler, linear or lognormal)", c.Kind)
+	if c.Kind != "straggler" {
+		e.addf("unknown compute kind %q (want straggler)", c.Kind)
+	}
+	if c.Worker < 0 || c.Worker >= r.Workers {
+		e.addf("compute.worker %d outside [0, %d)", c.Worker, r.Workers)
+	}
+	if c.Factor <= 0 {
+		e.addf("compute.factor must be positive, got %g", c.Factor)
 	}
 }
 
@@ -939,7 +881,6 @@ func validateLive(e *errorList, m, r *Manifest) {
 		{"epochs", m.Epochs != 0},
 		{"lr_decay_epoch", m.LRDecayEpoch != 0},
 		{"overlap", m.Overlap != nil},
-		{"parallelism", m.Parallelism != 0},
 	}
 	for _, f := range engineOnly {
 		if f.set {

@@ -116,7 +116,10 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"static with dynamics", `{"name": "x", "network": {"kind": "static", "period_secs": 5}}`, "no dynamics"},
 		{"hop staleness misuse", `{"name": "x", "hop_staleness": 4}`, "only valid with algorithm"},
 		{"netmax block misuse", `{"name": "x", "algorithm": "adpsgd", "netmax": {"ts_secs": 1}}`, "netmax block is only valid"},
-		{"compute scale mismatch", `{"name": "x", "workers": 4, "compute": {"kind": "explicit", "scale": [1, 2]}}`, "want one per worker"},
+		{"stale compute kind", `{"name": "x", "compute": {"kind": "lognormal"}}`, `unknown compute kind "lognormal" (want straggler)`},
+		{"stale parallelism", `{"name": "x", "parallelism": 2}`, `unknown field "parallelism"`},
+		{"stale netmax epsilon", `{"name": "x", "netmax": {"epsilon": 0.01}}`, `unknown field "epsilon"`},
+		{"stale live beta", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": 0.5}}`, `unknown field "beta"`},
 		{"straggler range", `{"name": "x", "workers": 4, "compute": {"kind": "straggler", "worker": 6, "factor": 5}}`, "outside [0, 4)"},
 		{"live without bound", `{"name": "x", "runtime": "live", "live": {}}`, "need a bound"},
 		{"live with engine block", `{"name": "x", "runtime": "live", "epochs": 4, "live": {"iterations": 5}}`, "engine-only"},
