@@ -13,17 +13,35 @@ import (
 func RunAllreduce(cfg *engine.Config) *engine.Result {
 	ws := cfg.Workers()
 	tr := engine.NewTracker(cfg, ws, "Allreduce-SGD")
+	step := averagedGradStep(cfg, ws)
+
+	now := 0.0
+	for !tr.Done() {
+		step()
+		comm := RingAllreduceTime(cfg, now)
+		tr.AddBytes(2 * int64(len(ws)-1) * cfg.Spec.ModelBytes())
+		now += cfg.MaxComputeSecs() + comm
+		for _, w := range ws {
+			tr.OnIteration(now, w.Batch, cfg.MaxComputeSecs(), comm)
+		}
+	}
+	return tr.Finish()
+}
+
+// averagedGradStep returns one barrier round of synchronous data-parallel
+// SGD over ws: every worker computes a gradient on its next batch, the
+// gradients are averaged weighted by batch size (so segment workers
+// contribute proportionally, Section V-F), and every worker applies the
+// average. Gradients are computed concurrently (each worker touches only
+// its own replica) and reduced serially in worker order, so the
+// floating-point sum is identical at any parallelism.
+func averagedGradStep(cfg *engine.Config, ws []*engine.Worker) func() {
 	vlen := ws[0].Model.VectorLen()
 	avg := make([]float64, vlen)
 	tmp := make([]float64, vlen)
 	par := cfg.EffectiveParallelism()
 	samples := make([]int, len(ws))
-
-	now := 0.0
-	for !tr.Done() {
-		// Gradients are computed concurrently (each worker touches only its
-		// own replica) and reduced serially in worker order below, so the
-		// floating-point sum is identical at any parallelism.
+	return func() {
 		engine.Concurrently(len(ws), par, func(k int) {
 			_, samples[k] = ws[k].GradOnly()
 		})
@@ -33,8 +51,6 @@ func RunAllreduce(cfg *engine.Config) *engine.Result {
 		}
 		for k, w := range ws {
 			w.Model.GradVector(tmp)
-			// Weight by batch size so segment workers contribute
-			// proportionally (Section V-F).
 			for i := range avg {
 				avg[i] += tmp[i] * float64(samples[k])
 			}
@@ -46,14 +62,7 @@ func RunAllreduce(cfg *engine.Config) *engine.Result {
 		for _, w := range ws {
 			w.ApplyGrad(avg)
 		}
-		comm := RingAllreduceTime(cfg, now)
-		tr.AddBytes(2 * int64(len(ws)-1) * cfg.Spec.ModelBytes())
-		now += cfg.MaxComputeSecs() + comm
-		for _, w := range ws {
-			tr.OnIteration(now, w.Batch, cfg.MaxComputeSecs(), comm)
-		}
 	}
-	return tr.Finish()
 }
 
 // RingAllreduceTime returns the duration of one ring allreduce of the model

@@ -47,29 +47,116 @@ type Options struct {
 	StalePeriods int
 }
 
+// DefaultBeta is the EMA smoothing factor β of Algorithm 2's per-link time
+// vector when none is configured.
+const DefaultBeta = 0.5
+
 func (o *Options) defaults() {
 	if o.Ts <= 0 {
 		o.Ts = 120
 	}
 	if o.Beta <= 0 || o.Beta >= 1 {
-		o.Beta = 0.5
+		o.Beta = DefaultBeta
 	}
 	if o.PolicyRounds <= 0 {
 		o.PolicyRounds = 10
 	}
 }
 
+// Peer is one worker's side of Algorithm 2: its row of the communication
+// policy, the consensus step size ρ and its EMA time vector T_i. Both
+// runtimes keep one per worker; a Peer is used only by its own worker.
+type Peer struct {
+	id      int
+	adj     [][]bool
+	alpha   float64
+	beta    float64
+	uniform []float64 // fallback for a row that pins this worker to itself
+	row     []float64
+	rho     float64
+	ema     []float64
+}
+
+// NewPeers returns one Peer per worker of adj, each on the uniform policy
+// with the initial ρ = 1/(8α·deg_max): a quarter of the feasibility cap
+// 1/(2α·deg_max), giving an initial uniform blend coefficient αρ·deg = 1/8.
+func NewPeers(adj [][]bool, alpha, beta float64) []*Peer {
+	rho := 1 / (8 * alpha * float64(max(policy.MaxDegree(adj), 1)))
+	uniform := policy.Uniform(adj)
+	peers := make([]*Peer, len(adj))
+	for i := range peers {
+		peers[i] = &Peer{id: i, adj: adj, alpha: alpha, beta: beta,
+			uniform: uniform[i], row: uniform[i], rho: rho, ema: make([]float64, len(adj))}
+	}
+	return peers
+}
+
+// Adopt installs a new policy (P, ρ). A row with no peer mass — the row
+// GenerateLive pins onto workers presumed dead — is replaced by the
+// uniform row: the row is read only by its own worker, which is alive
+// whenever it reads it, and staying silent would mean never pulling,
+// never reporting and never being re-admitted. Select and Coef both read
+// the fallback, so the worker never pulls a model only to blend it with
+// coefficient zero. P is shared between workers and is not written.
+// Failure-free policies always carry peer mass (the Eq. 11 floors), so
+// the fallback cannot fire without churn.
+func (p *Peer) Adopt(P [][]float64, rho float64) {
+	p.row = P[p.id]
+	if policy.SelfOnly(p.row, p.id) {
+		p.row = p.uniform
+	}
+	p.rho = rho
+}
+
+// Row returns the policy row the worker currently samples from.
+func (p *Peer) Row() []float64 { return p.row }
+
+// Select samples neighbor m with probability p_im (Algorithm 2 line 9);
+// p_ii mass means "no pull this iteration". Masked peers are skipped and
+// the row's remaining mass renormalized (see policy.SampleMasked).
+func (p *Peer) Select(masked []bool, rng *rand.Rand) int {
+	return policy.SampleMasked(p.row, p.id, masked, rng)
+}
+
+// Coef implements Algorithm 2 lines 13-14: the model pulled from j enters
+// with coefficient αρ(d_ij+d_ji)/(2 p_ij), clamped to (0, 1] for safety
+// when the EMA times and the policy briefly disagree.
+func (p *Peer) Coef(j int) float64 {
+	d := 0.0
+	if p.adj[p.id][j] {
+		d++
+	}
+	if p.adj[j][p.id] {
+		d++
+	}
+	pij := p.row[j]
+	if pij <= 0 {
+		return 0
+	}
+	c := p.alpha * p.rho * d / (2 * pij)
+	if c > 1 {
+		c = 1
+	}
+	return c
+}
+
+// Observe folds a measured iteration time with peer j into the EMA time
+// vector (Algorithm 2 UPDATETIMEVECTOR) and returns the smoothed time the
+// worker reports to the Network Monitor.
+func (p *Peer) Observe(j int, secs float64) float64 {
+	if p.ema[j] == 0 {
+		p.ema[j] = secs
+	} else {
+		p.ema[j] = p.beta*p.ema[j] + (1-p.beta)*secs
+	}
+	return p.ema[j]
+}
+
 // behavior implements engine.AsyncBehavior for NetMax.
 type behavior struct {
 	opts  Options
-	adj   [][]bool
-	alpha float64
+	peers []*Peer
 	mon   *monitor.Monitor
-
-	p       [][]float64 // current policy matrix
-	uniform [][]float64 // fallback rows for re-admitted workers
-	rho     float64
-	ema     [][]float64 // worker-side EMA time vectors T_i
 
 	// mask marks peers known dead through membership events; masked peers
 	// are skipped in selection (their row mass renormalized away) until
@@ -82,67 +169,25 @@ type behavior struct {
 func newBehavior(cfg *engine.Config, opts Options) *behavior {
 	opts.defaults()
 	adj := cfg.Net.Topo.Adj
-	m := len(adj)
-	b := &behavior{
-		opts:    opts,
-		adj:     adj,
-		alpha:   cfg.LR,
-		p:       policy.Uniform(adj),
-		uniform: policy.Uniform(adj),
-		ema:     make([][]float64, m),
+	return &behavior{
+		opts:  opts,
+		peers: NewPeers(adj, cfg.LR, opts.Beta),
+		mon: monitor.New(monitor.Config{
+			Adj:            adj,
+			Alpha:          cfg.LR,
+			Period:         opts.Ts,
+			OuterRounds:    opts.PolicyRounds,
+			InnerRounds:    opts.PolicyRounds,
+			AveragingBlend: opts.FixedBlend,
+			StalePeriods:   opts.StalePeriods,
+		}),
 	}
-	for i := range b.ema {
-		b.ema[i] = make([]float64, m)
-	}
-	// Initial ρ: quarter of the feasibility cap 1/(2α·deg_max), giving an
-	// initial uniform blend coefficient αρ·deg = 1/8.
-	maxDeg := 0
-	for i := range adj {
-		deg := 0
-		for j, ok := range adj[i] {
-			if ok && j != i {
-				deg++
-			}
-		}
-		if deg > maxDeg {
-			maxDeg = deg
-		}
-	}
-	if maxDeg == 0 {
-		maxDeg = 1
-	}
-	b.rho = 1 / (8 * cfg.LR * float64(maxDeg))
-	b.mon = monitor.New(monitor.Config{
-		Adj:            adj,
-		Alpha:          cfg.LR,
-		Period:         opts.Ts,
-		OuterRounds:    opts.PolicyRounds,
-		InnerRounds:    opts.PolicyRounds,
-		AveragingBlend: opts.FixedBlend,
-		StalePeriods:   opts.StalePeriods,
-	})
-	return b
 }
 
-// SelectPeer samples neighbor m with probability p[i][m] (Algorithm 2
-// line 9); p[i][i] mass means "no pull this iteration". Peers masked by
-// membership events are skipped until the monitor regenerates the policy.
-//
-// If worker i's own row carries no peer mass — the row GenerateLive pins
-// onto workers presumed dead — the worker is by construction alive (the
-// engine only runs live workers' events), so the row is repaired to the
-// uniform one in place: staying silent would mean never reporting and
-// never being re-admitted. Repairing b.p (rather than substituting only
-// here) matters because BlendCoef reads the same row — a fallback that
-// sampled from uniform but left p_ij = 0 would pull models and blend them
-// with coefficient zero, paying bandwidth for nothing. Failure-free
-// policies always carry peer mass (the Eq. 11 floors), so this path
-// cannot fire without churn.
+// SelectPeer samples worker i's neighbor from its policy row, skipping
+// peers masked by membership events until the monitor regenerates.
 func (b *behavior) SelectPeer(i int, now float64, rng *rand.Rand) int {
-	if policy.SelfOnly(b.p[i], i) {
-		b.p[i] = b.uniform[i]
-	}
-	return policy.SampleMasked(b.p[i], i, b.mask, rng)
+	return b.peers[i].Select(b.mask, rng)
 }
 
 // OnMembership masks crashed peers out of selection immediately and feeds
@@ -159,43 +204,22 @@ func (b *behavior) OnMembership(alive []bool, now float64) {
 	b.mon.SetLiveness(alive, now)
 }
 
-// BlendCoef implements Algorithm 2 lines 13-14: the pulled model enters with
-// coefficient αρ(d_im+d_mi)/(2 p_im), clamped to (0, 1] for safety when the
-// live EMA and the policy briefly disagree.
+// BlendCoef is worker i's Peer.Coef, or AD-PSGD's fixed 1/2 under
+// FixedBlend.
 func (b *behavior) BlendCoef(i, j int) float64 {
 	if b.opts.FixedBlend {
 		return 0.5
 	}
-	d := 0.0
-	if b.adj[i][j] {
-		d++
-	}
-	if b.adj[j][i] {
-		d++
-	}
-	pij := b.p[i][j]
-	if pij <= 0 {
-		return 0
-	}
-	c := b.alpha * b.rho * d / (2 * pij)
-	if c > 1 {
-		c = 1
-	}
-	return c
+	return b.peers[i].Coef(j)
 }
 
 // OnIterationEnd folds the measured iteration time into the worker's EMA
-// time vector (Algorithm 2 UPDATETIMEVECTOR) and reports it to the monitor.
+// time vector and reports the smoothed time to the monitor.
 func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 	if i == j {
 		return
 	}
-	if b.ema[i][j] == 0 {
-		b.ema[i][j] = iterSecs
-	} else {
-		b.ema[i][j] = b.opts.Beta*b.ema[i][j] + (1-b.opts.Beta)*iterSecs
-	}
-	b.mon.ObserveAt(i, j, b.ema[i][j], now)
+	b.mon.ObserveAt(i, j, b.peers[i].Observe(j, iterSecs), now)
 }
 
 // Symmetric reports whether the blend applies to both endpoints: NetMax's
@@ -203,14 +227,16 @@ func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 // AD-PSGD's two-sided atomic averaging.
 func (b *behavior) Symmetric() bool { return b.opts.FixedBlend }
 
-// Tick runs the Network Monitor's periodic policy regeneration.
+// Tick runs the Network Monitor's periodic policy regeneration and hands
+// the new policy to every worker.
 func (b *behavior) Tick(now float64) {
 	pol, ok := b.mon.MaybeRegenerate(now)
 	if !ok || b.opts.UniformPolicy {
 		return
 	}
-	b.p = pol.P
-	b.rho = pol.Rho
+	for _, p := range b.peers {
+		p.Adopt(pol.P, pol.Rho)
+	}
 }
 
 // Run trains with NetMax under cfg and returns the aggregated result.
@@ -224,6 +250,3 @@ func RunADPSGDMonitor(cfg *engine.Config, opts Options) *engine.Result {
 	opts.FixedBlend = true
 	return engine.RunAsync(cfg, newBehavior(cfg, opts), "AD-PSGD+Monitor")
 }
-
-// Monitor exposes the behavior's monitor for observability in tests.
-func (b *behavior) Monitor() *monitor.Monitor { return b.mon }

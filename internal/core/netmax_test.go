@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"netmax/internal/baselines"
@@ -126,12 +127,7 @@ func TestADPSGDMonitorBetweenADPSGDAndNetMax(t *testing.T) {
 func TestBlendCoefScalesInverselyWithProbability(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
 	b := newBehavior(cfg, Options{})
-	b.p = [][]float64{
-		{0, 0.8, 0.1, 0.1},
-		{0.8, 0, 0.1, 0.1},
-		{0.1, 0.1, 0, 0.8},
-		{0.1, 0.1, 0.8, 0},
-	}
+	b.peers[0].row = []float64{0, 0.8, 0.1, 0.1}
 	cHigh := b.BlendCoef(0, 1) // frequently selected neighbor
 	cLow := b.BlendCoef(0, 2)  // rarely selected neighbor
 	if cLow <= cHigh {
@@ -146,7 +142,7 @@ func TestBlendCoefScalesInverselyWithProbability(t *testing.T) {
 func TestBlendCoefClamped(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
 	b := newBehavior(cfg, Options{})
-	b.rho = 1e6 // absurd rho must not produce a divergent blend
+	b.peers[0].rho = 1e6 // absurd rho must not produce a divergent blend
 	if c := b.BlendCoef(0, 1); c > 1 {
 		t.Fatalf("blend coefficient %v > 1", c)
 	}
@@ -155,12 +151,7 @@ func TestBlendCoefClamped(t *testing.T) {
 func TestSelectPeerRespectsPolicySupport(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
 	b := newBehavior(cfg, Options{})
-	b.p = [][]float64{
-		{0, 1, 0, 0},
-		{1, 0, 0, 0},
-		{0, 0, 0, 1},
-		{0, 0, 1, 0},
-	}
+	b.peers[0].row = []float64{0, 1, 0, 0}
 	ws := cfg.Workers()
 	for k := 0; k < 100; k++ {
 		if j := b.SelectPeer(0, 0, ws[0].Rng); j != 1 {
@@ -189,15 +180,15 @@ func TestEMAUpdateRule(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
 	b := newBehavior(cfg, Options{Beta: 0.5})
 	b.OnIterationEnd(0, 1, 2.0, 0)
-	if b.ema[0][1] != 2.0 {
-		t.Fatalf("first observation should seed EMA, got %v", b.ema[0][1])
+	if b.peers[0].ema[1] != 2.0 {
+		t.Fatalf("first observation should seed EMA, got %v", b.peers[0].ema[1])
 	}
 	b.OnIterationEnd(0, 1, 4.0, 1)
-	if math.Abs(b.ema[0][1]-3.0) > 1e-12 {
-		t.Fatalf("EMA = %v, want 0.5*2 + 0.5*4 = 3", b.ema[0][1])
+	if math.Abs(b.peers[0].ema[1]-3.0) > 1e-12 {
+		t.Fatalf("EMA = %v, want 0.5*2 + 0.5*4 = 3", b.peers[0].ema[1])
 	}
 	b.OnIterationEnd(2, 2, 9.0, 2)
-	if b.ema[2][2] != 0 {
+	if b.peers[2].ema[2] != 0 {
 		t.Fatal("self iteration should not touch EMA")
 	}
 }
@@ -261,7 +252,48 @@ func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
 	if !alive[1] {
 		t.Fatal("rejoined worker still considered dead at run end (exile loop)")
 	}
-	if policy.SelfOnly(b.p[1], 1) {
-		t.Fatalf("final policy still pins the rejoined worker to self: %v", b.p[1])
+	// A self-pinned row is adopted as the uniform fallback, so ending on
+	// that fallback means the last policy still pinned worker 1 to self.
+	if row := b.peers[1].Row(); &row[0] == &b.peers[1].uniform[0] {
+		t.Fatalf("final policy still pins the rejoined worker to self: %v", row)
+	}
+}
+
+// TestPeerAdoptsUniformForSelfPinnedRow checks the Peer's worker-side
+// rule: the initial uniform blend coefficient is αρ·deg = 1/8, a policy
+// row that pins the worker to itself falls back to the uniform row without
+// writing into the shared policy, the fallback blends with a positive
+// coefficient, and Observe seeds then smooths the EMA.
+func TestPeerAdoptsUniformForSelfPinnedRow(t *testing.T) {
+	adj := simnet.FullyConnected(4)
+	peers := NewPeers(adj, 0.1, 0.5)
+	if c := peers[2].Coef(0); math.Abs(c-1.0/8) > 1e-12 {
+		t.Fatalf("initial uniform blend coefficient = %v, want 1/8", c)
+	}
+	P := [][]float64{
+		{0, 0.5, 0.25, 0.25},
+		{0, 1, 0, 0}, // worker 1 presumed dead
+		{0.5, 0, 0, 0.5},
+		{0.5, 0, 0.5, 0},
+	}
+	peers[1].Adopt(P, 2)
+	if want := policy.Uniform(adj)[1]; !reflect.DeepEqual(peers[1].Row(), want) {
+		t.Fatalf("self-pinned row adopted as %v, want uniform %v", peers[1].Row(), want)
+	}
+	if !reflect.DeepEqual(P[1], []float64{0, 1, 0, 0}) {
+		t.Fatalf("Adopt wrote into the shared policy: row 1 = %v", P[1])
+	}
+	if c := peers[1].Coef(0); !(c > 0) {
+		t.Fatalf("fallback row blends with coefficient %v, want > 0", c)
+	}
+	peers[0].Adopt(P, 2)
+	if !reflect.DeepEqual(peers[0].Row(), P[0]) {
+		t.Fatalf("peer row = %v, want the policy's %v", peers[0].Row(), P[0])
+	}
+	if got := peers[0].Observe(1, 2); got != 2 {
+		t.Fatalf("first observation should seed the EMA, got %v", got)
+	}
+	if got := peers[0].Observe(1, 4); got != 3 {
+		t.Fatalf("EMA = %v, want 0.5*2 + 0.5*4 = 3", got)
 	}
 }

@@ -116,25 +116,30 @@ func (c *Config) MaxComputeSecs() float64 {
 	return c.Spec.ComputeSecs * maxScale
 }
 
-// Workers instantiates the worker pool: identical initial models (same
-// seed), per-worker RNG streams, shard-proportional batch sizes.
+// Workers instantiates the config's worker pool (see NewWorkers).
 func (c *Config) Workers() []*Worker {
-	m := len(c.Part.Shards)
-	ws := make([]*Worker, m)
-	dim := c.Part.Shards[0].Dim()
-	classes := c.Part.Shards[0].Classes
-	for i := 0; i < m; i++ {
-		batch := c.Batch * c.Part.Segments[i]
-		if batch > c.Part.Shards[i].Len() {
-			batch = c.Part.Shards[i].Len()
+	return NewWorkers(c.Spec, c.Part, c.LR, c.Batch, c.Seed)
+}
+
+// NewWorkers instantiates one worker per shard of part: identical initial
+// models (same seed), per-worker RNG streams and shard-proportional batch
+// sizes (batch x segments, capped at the shard length).
+func NewWorkers(spec nn.ModelSpec, part *data.Partition, lr float64, batch int, seed int64) []*Worker {
+	ws := make([]*Worker, len(part.Shards))
+	dim := part.Shards[0].Dim()
+	classes := part.Shards[0].Classes
+	for i, shard := range part.Shards {
+		b := batch * part.Segments[i]
+		if b > shard.Len() {
+			b = shard.Len()
 		}
 		ws[i] = &Worker{
 			ID:    i,
-			Model: c.Spec.Build(c.Seed, dim, classes),
-			Opt:   nn.NewSGD(c.LR),
-			Shard: c.Part.Shards[i],
-			Batch: batch,
-			Rng:   rand.New(rand.NewSource(c.Seed*1000 + int64(i))),
+			Model: spec.Build(seed, dim, classes),
+			Opt:   nn.NewSGD(lr),
+			Shard: shard,
+			Batch: b,
+			Rng:   rand.New(rand.NewSource(seed*1000 + int64(i))),
 		}
 	}
 	return ws
@@ -208,26 +213,28 @@ type Point struct {
 }
 
 // Result aggregates everything the evaluation figures need from one run.
+// Its JSON form is a run's result.json.
 type Result struct {
-	Algo string
+	Algo string `json:"algo"`
 	// Loss curve sampled at (fractional) epoch boundaries.
-	Curve []Point
+	Curve []Point `json:"curve"`
 	// FinalLoss is the last curve value.
-	FinalLoss float64
+	FinalLoss float64 `json:"final_loss"`
 	// FinalAccuracy on the held-out test set, of the averaged model.
-	FinalAccuracy float64
+	FinalAccuracy float64 `json:"final_accuracy"`
 	// TotalTime is the virtual wall-clock of the full run.
-	TotalTime float64
+	TotalTime float64 `json:"total_time_seconds"`
 	// GlobalSteps counts worker iterations across the cluster.
-	GlobalSteps int
+	GlobalSteps int `json:"global_steps"`
 	// CompSecs and CommSecs decompose worker busy time per Section V-B:
 	// per iteration, computation contributes C and communication the
 	// non-overlapped remainder (max(0, N-C) when overlapped, N serial).
-	CompSecs, CommSecs float64
+	CompSecs float64 `json:"comp_seconds"`
+	CommSecs float64 `json:"comm_seconds"`
 	// BytesSent is the total traffic the algorithm put on the network.
-	BytesSent int64
+	BytesSent int64 `json:"bytes_sent"`
 	// Epochs actually completed.
-	Epochs int
+	Epochs int `json:"epochs"`
 }
 
 // AvgEpochTime returns TotalTime / Epochs.
@@ -278,8 +285,9 @@ func (r *Result) EpochToLoss(target float64) float64 {
 }
 
 // AverageModel returns a model holding the elementwise mean of all worker
-// parameter vectors — the consensus model the paper evaluates.
-func AverageModel(cfg *Config, ws []*Worker) *nn.Model {
+// parameter vectors — the consensus model the paper evaluates — built from
+// spec with the workers' initialization seed.
+func AverageModel(spec nn.ModelSpec, seed int64, ws []*Worker) *nn.Model {
 	avg := make([]float64, ws[0].Model.VectorLen())
 	tmp := make([]float64, len(avg))
 	for _, w := range ws {
@@ -291,7 +299,7 @@ func AverageModel(cfg *Config, ws []*Worker) *nn.Model {
 	for i := range avg {
 		avg[i] /= float64(len(ws))
 	}
-	m := cfg.Spec.Build(cfg.Seed, cfg.Part.Shards[0].Dim(), cfg.Part.Shards[0].Classes)
+	m := spec.Build(seed, ws[0].Shard.Dim(), ws[0].Shard.Classes)
 	m.SetVector(avg)
 	return m
 }
@@ -347,7 +355,7 @@ func (t *Tracker) AddBytes(n int64) { t.res.BytesSent += n }
 func (t *Tracker) Done() bool { return t.epochsDone >= t.cfg.Epochs }
 
 func (t *Tracker) recordPoint(now float64) {
-	avg := AverageModel(t.cfg, t.ws)
+	avg := AverageModel(t.cfg.Spec, t.cfg.Seed, t.ws)
 	loss := avg.Loss(t.evalX, t.evalLabels).Item()
 	t.res.Curve = append(t.res.Curve, Point{Time: now, Epoch: float64(t.epochsDone), Value: loss})
 }
@@ -358,7 +366,7 @@ func (t *Tracker) Finish() *Result {
 	if n := len(t.res.Curve); n > 0 {
 		t.res.FinalLoss = t.res.Curve[n-1].Value
 	}
-	avg := AverageModel(t.cfg, t.ws)
+	avg := AverageModel(t.cfg.Spec, t.cfg.Seed, t.ws)
 	x, labels := t.cfg.Test.Batch(0, t.cfg.Test.Len())
 	t.res.FinalAccuracy = avg.Accuracy(x, labels)
 	return t.res

@@ -220,7 +220,7 @@ func TestAverageModelIsMean(t *testing.T) {
 		v[i] += 2
 	}
 	ws[1].Model.SetVector(v)
-	avg := AverageModel(cfg, ws)
+	avg := AverageModel(cfg.Spec, cfg.Seed, ws)
 	av := avg.Vector()
 	v0 := ws[0].Model.Vector()
 	for i := range av {

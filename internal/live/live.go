@@ -1,27 +1,30 @@
 // Package live runs NetMax as an actual concurrent process group — real
 // goroutine workers exchanging models over a Transport, a real Network
 // Monitor regenerating policies on a wall-clock timer — as opposed to the
-// discrete-event simulation in internal/engine. This is the deployment-
-// shaped half of the reproduction: the examples use the in-process
-// transport with injected latency, and live manifests run by
+// discrete-event simulation in internal/engine. The per-worker state is the
+// engine's: each goroutine drives an engine.Worker (model, SGD, batch
+// cursor, RNG) and a core.Peer (policy row, ρ, EMA time vector), so the two
+// runtimes share one copy of Algorithm 2's worker rule. This is the
+// deployment-shaped half of the reproduction: the examples use the
+// in-process transport with injected latency, and live manifests run by
 // cmd/netmax-scenario can use either it or TCP.
 package live
 
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"netmax/internal/autograd"
 	"netmax/internal/codec"
+	"netmax/internal/core"
 	"netmax/internal/data"
+	"netmax/internal/engine"
 	"netmax/internal/monitor"
 	"netmax/internal/nn"
-	"netmax/internal/policy"
+	"netmax/internal/simnet"
 	"netmax/internal/transport"
 )
 
@@ -33,27 +36,20 @@ type Config struct {
 	LR    float64
 	Batch int
 	Seed  int64
-	// Ts is the monitor's wall-clock policy period.
+	// Ts is the monitor's wall-clock policy period; zero selects DefaultTs.
 	Ts time.Duration
 	// Duration bounds the run (wall clock); zero means rely on Iterations.
 	Duration time.Duration
 	// Iterations bounds per-worker iterations; zero means rely on Duration.
 	Iterations int
-	// Uniform disables the adaptive policy (AD-PSGD-style selection).
-	Uniform bool
 	// Codec compresses model pulls on the wire (nil keeps the transport's
 	// default raw float64 encoding). Sparse codecs turn pulls into partial
 	// model pulls: untransmitted coordinates keep the puller's local value.
 	Codec codec.Codec
 	// PullTimeout bounds every model pull and monitor exchange: a hung or
 	// dead peer costs at most one deadline instead of blocking the worker
-	// forever. Zero selects the 2s default; negative disables deadlines.
+	// forever. Zero selects DefaultPullTimeout; negative disables deadlines.
 	PullTimeout time.Duration
-	// StalePeriods configures the monitor's liveness tracking: a worker
-	// silent for this many Ts periods is evicted and policies regenerate
-	// over the live subgraph. Zero selects the default of 3; negative
-	// disables eviction.
-	StalePeriods int
 	// Churn schedules wall-clock crash/rejoin events for workers: the
 	// worker goes silent (and its transport endpoint refuses pulls) at At,
 	// and resumes at Rejoin with the parameters it held when it crashed.
@@ -68,16 +64,17 @@ type ChurnEvent struct {
 	Rejoin time.Duration // since run start; <= At means permanent
 }
 
-// DefaultPullTimeout is the conservative per-call deadline applied when
-// Config.PullTimeout is zero.
-const DefaultPullTimeout = 2 * time.Second
-
-// DefaultStalePeriods is the monitor liveness window (in Ts periods)
-// applied when Config.StalePeriods is zero.
-const DefaultStalePeriods = 3
-
-// beta is the EMA smoothing factor β of Algorithm 2's per-link time vector.
-const beta = 0.5
+const (
+	// DefaultTs is the monitor's policy period when Config.Ts is zero.
+	DefaultTs = 500 * time.Millisecond
+	// DefaultPullTimeout is the conservative per-call deadline applied
+	// when Config.PullTimeout is zero.
+	DefaultPullTimeout = 2 * time.Second
+	// stalePeriods is the monitor's liveness window: a worker silent for
+	// this many Ts periods is evicted and policies regenerate over the
+	// live subgraph.
+	stalePeriods = 3
+)
 
 // Stats summarizes a live run.
 type Stats struct {
@@ -101,20 +98,13 @@ type Stats struct {
 	Elapsed time.Duration
 }
 
-// worker is one live training replica.
+// worker is one live training replica: the engine's worker state plus the
+// lock that lets peers read its model while it trains.
 type worker struct {
-	id    int
-	model *nn.Model
-	mu    sync.Mutex // guards model vector reads vs. local updates
-	opt   *nn.SGD
-	shard *data.Dataset
-	batch int
-	rng   *rand.Rand
-
-	p       [][]float64
-	rho     float64
-	version int
-	ema     []float64
+	*engine.Worker
+	mu      sync.Mutex // guards model vector reads vs. local updates
+	peer    *core.Peer
+	version int // policy version the peer last adopted
 
 	// masked marks peers whose pulls failed with ErrPeerDown; a masked
 	// peer is skipped in selection until the monitor reacts (a new policy
@@ -130,7 +120,7 @@ type worker struct {
 func (w *worker) vector() []float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.model.Vector()
+	return w.Model.Vector()
 }
 
 // Hub is the transport surface the live group needs; both
@@ -151,13 +141,11 @@ type Hub interface {
 // The transport hub must be fresh; Run registers all workers on it.
 func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	m := len(cfg.Part.Shards)
-	adj := fullAdj(m)
-	dim := cfg.Part.Shards[0].Dim()
-	classes := cfg.Part.Shards[0].Classes
+	adj := simnet.FullyConnected(m)
 
 	ts := cfg.Ts
 	if ts <= 0 {
-		ts = 500 * time.Millisecond
+		ts = DefaultTs
 	}
 	pullTimeout := cfg.PullTimeout
 	if pullTimeout == 0 {
@@ -165,45 +153,28 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	} else if pullTimeout < 0 {
 		pullTimeout = 0
 	}
-	stale := cfg.StalePeriods
-	if stale == 0 {
-		stale = DefaultStalePeriods
-	} else if stale < 0 {
-		stale = 0
-	}
 	// A masked peer is retried after the monitor has had a fair chance to
 	// react: the staleness window plus one period.
-	maskCooldown := ts * time.Duration(stale+1)
-	// Fallback rows for workers handed a dead-pinned policy row (below).
-	uniformRows := policy.Uniform(adj)
+	maskCooldown := ts * (stalePeriods + 1)
 
 	if cfg.Codec != nil {
 		hub.SetCodec(cfg.Codec)
 	}
 	hub.SetPullTimeout(pullTimeout)
 	start := time.Now()
-	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: ts.Seconds(), StalePeriods: stale})
+	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: ts.Seconds(), StalePeriods: stalePeriods})
 	hub.OnReport(func(from, to int, secs float64, bytes int64) {
 		mon.ObserveAt(from, to, secs, time.Since(start).Seconds())
 		mon.ObserveBytes(from, to, bytes)
 	})
 
+	ws := engine.NewWorkers(cfg.Spec, cfg.Part, cfg.LR, cfg.Batch, cfg.Seed)
+	peers := core.NewPeers(adj, cfg.LR, core.DefaultBeta)
 	workers := make([]*worker, m)
-	for i := 0; i < m; i++ {
-		batch := cfg.Batch
-		if batch > cfg.Part.Shards[i].Len() {
-			batch = cfg.Part.Shards[i].Len()
-		}
+	for i := range workers {
 		w := &worker{
-			id:       i,
-			model:    cfg.Spec.Build(cfg.Seed, dim, classes),
-			opt:      nn.NewSGD(cfg.LR),
-			shard:    cfg.Part.Shards[i],
-			batch:    batch,
-			rng:      rand.New(rand.NewSource(cfg.Seed*1000 + int64(i))),
-			p:        policy.Uniform(adj),
-			rho:      1 / (8 * cfg.LR * float64(m-1)),
-			ema:      make([]float64, m),
+			Worker:   ws[i],
+			peer:     peers[i],
 			masked:   make([]bool, m),
 			maskedAt: make([]time.Time, m),
 		}
@@ -238,9 +209,6 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 			case <-runCtx.Done():
 				return
 			case <-ticker.C:
-				if cfg.Uniform {
-					continue
-				}
 				if pol, ok := mon.MaybeRegenerate(time.Since(start).Seconds()); ok {
 					hub.SetPolicy(pol.P, pol.Rho)
 				}
@@ -268,7 +236,7 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 				for w.churnIdx < len(w.churn) && time.Since(start) >= w.churn[w.churnIdx].At {
 					ev := w.churn[w.churnIdx]
 					w.churnIdx++
-					hub.SetWorkerDown(w.id, true)
+					hub.SetWorkerDown(w.ID, true)
 					if ev.Rejoin <= ev.At {
 						return
 					}
@@ -279,46 +247,34 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 						case <-time.After(wait):
 						}
 					}
-					hub.SetWorkerDown(w.id, false)
+					hub.SetWorkerDown(w.ID, false)
 				}
-				// Adopt a newer policy if one was broadcast. Masks reset
-				// only for peers the new policy assigns mass — the monitor
-				// believes those are usable. (A version generated just
-				// before a crash can still carry mass on the dead peer and
-				// cost one more deadline; the cooldown bounds that.) A
+				// Adopt a newer policy if one was broadcast (the peer falls
+				// back to uniform selection if the policy pins it to self).
+				// Masks reset only for peers the new row assigns mass — the
+				// monitor believes those are usable. (A version generated
+				// just before a crash can still carry mass on the dead peer
+				// and cost one more deadline; the cooldown bounds that.) A
 				// masked peer the policy dropped stays masked, which is a
 				// no-op anyway since its row mass is zero.
 				if p, rho, v, err := monClient.FetchPolicy(); err == nil && v > w.version && p != nil {
-					// A policy generated while this worker was presumed
-					// dead pins its own row to self. A live worker must
-					// not adopt that row — selecting only self means never
-					// pulling, never reporting, and never being
-					// re-admitted — so it falls back to uniform selection
-					// until the monitor takes it back. The broadcast
-					// policy is shared between workers; replace the row on
-					// a private copy of the row table.
-					if policy.SelfOnly(p[w.id], w.id) {
-						np := make([][]float64, len(p))
-						copy(np, p)
-						np[w.id] = uniformRows[w.id]
-						p = np
-					}
-					w.p, w.rho, w.version = p, rho, v
-					for k := range w.masked {
-						if w.masked[k] && w.p[w.id][k] > 0 {
+					w.peer.Adopt(p, rho)
+					w.version = v
+					for k, mk := range w.masked {
+						if mk && w.peer.Row()[k] > 0 {
 							w.masked[k] = false
 						}
 					}
 				}
-				// Retry cooldown: without policy broadcasts (uniform mode)
-				// a mask would otherwise be permanent and a rejoining peer
-				// never re-admitted.
+				// Retry cooldown: while the monitor publishes no new
+				// policy, a mask would otherwise be permanent and a
+				// rejoining peer never re-admitted.
 				for k, mk := range w.masked {
 					if mk && time.Since(w.maskedAt[k]) > maskCooldown {
 						w.masked[k] = false
 					}
 				}
-				j := policy.SampleMasked(w.p[w.id], w.id, w.masked, w.rng)
+				j := w.peer.Select(w.masked, w.Rng)
 				iterStart := time.Now()
 				// Pull the neighbor's model concurrently with the local
 				// gradient step (Algorithm 2's overlap). The pull arrives
@@ -328,26 +284,28 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 				var pulled *transport.Pull
 				var pullErr error
 				done := make(chan struct{})
-				if j != w.id {
+				if j != w.ID {
 					go func() {
-						pulled, pullErr = hub.Peer(w.id, j).PullModel()
+						pulled, pullErr = hub.Peer(w.ID, j).PullModel()
 						close(done)
 					}()
 				} else {
 					close(done)
 				}
-				w.gradStep(it)
+				w.mu.Lock()
+				w.GradStep()
+				w.mu.Unlock()
 				<-done
-				if j != w.id && pullErr == nil && pulled != nil {
-					coef := w.blendCoef(cfg.LR, j)
+				if j != w.ID && pullErr == nil && pulled != nil {
+					coef := w.peer.Coef(j)
 					w.mu.Lock()
 					var prior []float64
 					if pulled.NeedsPrior() {
-						prior = w.model.Vector()
+						prior = w.Model.Vector()
 					}
 					vec, decErr := pulled.Decode(prior)
 					if decErr == nil {
-						w.model.BlendVector(coef, vec)
+						w.Model.BlendVector(coef, vec)
 					}
 					w.mu.Unlock()
 					if decErr == nil {
@@ -355,14 +313,9 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 						wireBytes.Add(pulledBytes)
 						pulls.Add(1)
 						secs := time.Since(iterStart).Seconds()
-						if w.ema[j] == 0 {
-							w.ema[j] = secs
-						} else {
-							w.ema[j] = beta*w.ema[j] + (1-beta)*secs
-						}
-						_ = monClient.ReportTime(w.id, j, w.ema[j], pulledBytes)
+						_ = monClient.ReportTime(w.ID, j, w.peer.Observe(j, secs), pulledBytes)
 					}
-				} else if j != w.id && pullErr != nil {
+				} else if j != w.ID && pullErr != nil {
 					// Failed pull: mask the peer locally until the monitor
 					// reacts, and report the attempt's (deadline-inflated)
 					// cost so the link degrades in the policy input rather
@@ -373,14 +326,9 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 						peerDown.Add(1)
 					}
 					secs := time.Since(iterStart).Seconds()
-					if w.ema[j] == 0 {
-						w.ema[j] = secs
-					} else {
-						w.ema[j] = beta*w.ema[j] + (1-beta)*secs
-					}
-					_ = monClient.ReportTime(w.id, j, w.ema[j], 0)
+					_ = monClient.ReportTime(w.ID, j, w.peer.Observe(j, secs), 0)
 				}
-				counts[w.id]++ // safe: one writer per index
+				counts[w.ID]++ // safe: one writer per index
 			}
 		}(w)
 	}
@@ -388,20 +336,9 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	cancel()
 	<-monDone
 
-	// Final consensus model: elementwise mean.
-	avg := cfg.Spec.Build(cfg.Seed, dim, classes)
-	vec := make([]float64, avg.VectorLen())
-	tmp := make([]float64, avg.VectorLen())
-	for _, w := range workers {
-		copy(tmp, w.vector())
-		for i := range vec {
-			vec[i] += tmp[i]
-		}
-	}
-	for i := range vec {
-		vec[i] /= float64(m)
-	}
-	avg.SetVector(vec)
+	// Final consensus model. The workers have stopped, so their models are
+	// read without locks.
+	avg := engine.AverageModel(cfg.Spec, cfg.Seed, ws)
 	x, labels := cfg.Test.Batch(0, cfg.Test.Len())
 	_, _, version, _ := hub.Monitor().FetchPolicy()
 	return &Stats{
@@ -414,37 +351,4 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 		PeerDownErrors:      peerDown.Load(),
 		Elapsed:             time.Since(start),
 	}
-}
-
-func (w *worker) gradStep(it int) {
-	x, labels := w.shard.Batch(it*w.batch%w.shard.Len(), w.batch)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.model.ZeroGrad()
-	loss := w.model.Loss(x, labels)
-	autograd.Backward(loss)
-	w.opt.Step(w.model)
-}
-
-func (w *worker) blendCoef(alpha float64, j int) float64 {
-	pij := w.p[w.id][j]
-	if pij <= 0 {
-		return 0
-	}
-	c := alpha * w.rho * 2 / (2 * pij)
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
-
-func fullAdj(m int) [][]bool {
-	adj := make([][]bool, m)
-	for i := range adj {
-		adj[i] = make([]bool, m)
-		for j := range adj[i] {
-			adj[i][j] = i != j
-		}
-	}
-	return adj
 }

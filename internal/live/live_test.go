@@ -22,7 +22,6 @@ func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
 	hub.Latency = func(i, j int, _ time.Time) time.Duration { return time.Millisecond }
 	cfg := liveConfig(4, 200)
 	cfg.Ts = 40 * time.Millisecond
-	cfg.StalePeriods = 2
 	cfg.PullTimeout = 200 * time.Millisecond
 	cfg.Churn = []ChurnEvent{{Worker: 2, At: 30 * time.Millisecond, Rejoin: 150 * time.Millisecond}}
 	stats := Run(context.Background(), cfg, hub)
@@ -183,16 +182,6 @@ func TestLiveGroupOverTCP(t *testing.T) {
 		if c != 80 {
 			t.Fatalf("worker %d did %d iterations over TCP, want 80", i, c)
 		}
-	}
-}
-
-func TestLiveUniformMode(t *testing.T) {
-	hub := transport.NewLocalNet()
-	cfg := liveConfig(3, 60)
-	cfg.Uniform = true
-	stats := Run(context.Background(), cfg, hub)
-	if stats.PolicyVersions != 0 {
-		t.Fatalf("uniform mode published %d policies", stats.PolicyVersions)
 	}
 }
 

@@ -62,6 +62,22 @@ type Policy struct {
 // probability matrix; callers should fall back to Uniform.
 var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
 
+// MaxDegree returns the largest neighbor count of any node in adj, self
+// excluded: the deg_max of the ρ feasibility cap 1/(2α·deg_max).
+func MaxDegree(adj [][]bool) int {
+	maxDeg := 0
+	for i := range adj {
+		deg := 0
+		for j, ok := range adj[i] {
+			if ok && j != i {
+				deg++
+			}
+		}
+		maxDeg = max(maxDeg, deg)
+	}
+	return maxDeg
+}
+
 // Uniform returns the uniform neighbor-selection policy used by AD-PSGD and
 // GoSGD: every neighbor of i gets probability 1/deg(i), self 0.
 func Uniform(adj [][]bool) [][]float64 {
@@ -308,19 +324,7 @@ func Generate(in Input) (*Policy, error) {
 	// caps ρ at 1/(2α·deg_max) (the paper's Eq. 33 for fully connected
 	// graphs). Searching beyond that wastes the whole grid on infeasible
 	// candidates, so clamp the upper end with a small safety margin.
-	maxDeg := 0
-	for i := range in.Adj {
-		deg := 0
-		for j, ok := range in.Adj[i] {
-			if ok && j != i {
-				deg++
-			}
-		}
-		if deg > maxDeg {
-			maxDeg = deg
-		}
-	}
-	if maxDeg > 0 {
+	if maxDeg := MaxDegree(in.Adj); maxDeg > 0 {
 		if cap := 0.999 / (2 * in.Alpha * float64(maxDeg)); cap < ur {
 			ur = cap
 		}

@@ -4,9 +4,10 @@ import "math/rand"
 
 // Sample draws one index from the probability row (row[j] is the
 // probability of selecting j; row[self] is the probability of selecting no
-// peer). It is the single peer-selection primitive shared by every
-// algorithm — NetMax, the uniform gossip baselines, Hop, and the live
-// runtime — and consumes exactly one rng.Float64 per call.
+// peer). It is the peer-selection primitive of the uniform gossip
+// baselines, DLion and Hop; NetMax samples through SampleMasked, from
+// core.Peer in both runtimes. Either consumes exactly one rng.Float64 per
+// call.
 //
 // Rows are normalized, but floating-point summation can leave the
 // cumulative total marginally below 1; the historical samplers fell
@@ -91,9 +92,9 @@ func SampleMasked(row []float64, self int, masked []bool, rng *rand.Rand) int {
 // row GenerateLive pins onto workers presumed dead. A worker that is in
 // fact alive must not adopt such a row for itself — selecting only self
 // means never pulling, never reporting, and therefore never being
-// re-admitted by the monitor's liveness tracking. Callers detect the
-// condition with SelfOnly and fall back to uniform selection until the
-// monitor re-admits them.
+// re-admitted by the monitor's liveness tracking. core.Peer.Adopt, the
+// one caller, detects the condition and falls back to the uniform row
+// until the monitor re-admits the worker.
 func SelfOnly(row []float64, self int) bool {
 	for j, v := range row {
 		if j != self && v > 0 {

@@ -287,18 +287,16 @@ func (m *Manifest) BuildLive() (live.Config, live.Hub, func() error, error) {
 	}
 	l := r.Live
 	cfg := live.Config{
-		Spec:         spec,
-		Part:         part,
-		Test:         test,
-		LR:           r.LR,
-		Batch:        r.Batch,
-		Seed:         r.Seed,
-		Ts:           time.Duration(l.TsMillis) * time.Millisecond,
-		Duration:     time.Duration(l.DurationSecs * float64(time.Second)),
-		Iterations:   l.Iterations,
-		Uniform:      l.Uniform,
-		Codec:        cdc,
-		StalePeriods: l.StalePeriods,
+		Spec:       spec,
+		Part:       part,
+		Test:       test,
+		LR:         r.LR,
+		Batch:      r.Batch,
+		Seed:       r.Seed,
+		Ts:         time.Duration(l.TsMillis) * time.Millisecond,
+		Duration:   time.Duration(l.DurationSecs * float64(time.Second)),
+		Iterations: l.Iterations,
+		Codec:      cdc,
 	}
 	switch {
 	case l.PullTimeoutSecs < 0:

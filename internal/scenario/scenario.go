@@ -32,9 +32,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"netmax/internal/codec"
+	"netmax/internal/core"
 	"netmax/internal/data"
+	"netmax/internal/live"
 	"netmax/internal/nn"
 	"netmax/internal/simnet"
 )
@@ -59,7 +62,7 @@ type Manifest struct {
 	// Algorithm names the training approach. Engine runtime accepts
 	// netmax (default), adpsgd, adpsgd-monitor, gossip, saps, dlion, hop,
 	// allreduce, dpsgd, prague, ps-sync, ps-async. Live runtime runs
-	// NetMax (or uniform AD-PSGD-style selection via live.uniform).
+	// NetMax.
 	Algorithm string `json:"algorithm,omitempty"`
 	// HopStaleness is Hop's staleness bound (algorithm "hop" only;
 	// 0 selects the baseline default).
@@ -213,7 +216,7 @@ type NetMaxSpec struct {
 	// TsSecs is the Network Monitor period in virtual seconds (default
 	// 2.4, the paper's 120s over the 50x time scale).
 	TsSecs float64 `json:"ts_secs,omitempty"`
-	// Beta is the EMA smoothing factor (default 0.5).
+	// Beta is the EMA smoothing factor (default core.DefaultBeta).
 	Beta float64 `json:"beta,omitempty"`
 	// PolicyRounds sets Algorithm 3's K and R grids (default 10).
 	PolicyRounds int `json:"policy_rounds,omitempty"`
@@ -232,7 +235,8 @@ type LiveSpec struct {
 	// Transport: "local" (default; in-process with injectable latency) or
 	// "tcp" (loopback sockets speaking the binary wire protocol).
 	Transport string `json:"transport,omitempty"`
-	// TsMillis is the monitor's wall-clock policy period (default 500).
+	// TsMillis is the monitor's wall-clock policy period (default
+	// live.DefaultTs).
 	TsMillis int `json:"ts_millis,omitempty"`
 	// DurationSecs bounds the run in wall-clock seconds; 0 relies on
 	// Iterations.
@@ -240,13 +244,8 @@ type LiveSpec struct {
 	// Iterations bounds per-worker iterations; 0 relies on DurationSecs.
 	Iterations int `json:"iterations,omitempty"`
 	// PullTimeoutSecs bounds every model pull and monitor exchange;
-	// 0 selects the 2s default, negative disables deadlines.
+	// 0 selects live.DefaultPullTimeout, negative disables deadlines.
 	PullTimeoutSecs float64 `json:"pull_timeout_secs,omitempty"`
-	// StalePeriods configures monitor liveness eviction; 0 selects the
-	// default of 3, negative disables.
-	StalePeriods int `json:"stale_periods,omitempty"`
-	// Uniform disables the adaptive policy (AD-PSGD-style selection).
-	Uniform bool `json:"uniform,omitempty"`
 	// Latency injects artificial latency on the local transport.
 	Latency *LatencySpec `json:"latency,omitempty"`
 	// Churn schedules wall-clock crash/rejoin events.
@@ -310,10 +309,7 @@ const (
 	DefaultSlowPeriod = 6.0
 	// DefaultHorizon is the virtual-time span dynamic network schedules
 	// cover; effectively unbounded.
-	DefaultHorizon     = 1e7
-	DefaultLiveTsMs    = 500
-	DefaultPullTimeout = 2.0
-	DefaultLiveStale   = 3
+	DefaultHorizon = 1e7
 )
 
 // Parse decodes a manifest from JSON, rejecting unknown fields, and
@@ -415,13 +411,10 @@ func (m *Manifest) Resolved() *Manifest {
 		l := r.Live
 		l.Transport = orStr(l.Transport, "local")
 		if l.TsMillis == 0 {
-			l.TsMillis = DefaultLiveTsMs
+			l.TsMillis = int(live.DefaultTs / time.Millisecond)
 		}
 		if l.PullTimeoutSecs == 0 {
-			l.PullTimeoutSecs = DefaultPullTimeout
-		}
-		if l.StalePeriods == 0 {
-			l.StalePeriods = DefaultLiveStale
+			l.PullTimeoutSecs = live.DefaultPullTimeout.Seconds()
 		}
 	default: // engine
 		if r.Epochs == 0 {
@@ -473,7 +466,7 @@ func (m *Manifest) Resolved() *Manifest {
 				nm.TsSecs = DefaultMonitorTs
 			}
 			if nm.Beta == 0 {
-				nm.Beta = 0.5
+				nm.Beta = core.DefaultBeta
 			}
 			if nm.PolicyRounds == 0 {
 				nm.PolicyRounds = 10
@@ -888,7 +881,7 @@ func validateLive(e *errorList, m, r *Manifest) {
 		}
 	}
 	if r.Algorithm != "netmax" {
-		e.addf("live runtime runs the NetMax group (algorithm %q unsupported; use live.uniform for AD-PSGD-style selection)", r.Algorithm)
+		e.addf("live runtime runs the NetMax group (algorithm %q unsupported)", r.Algorithm)
 	}
 	if r.Partition.Kind == "segments" {
 		e.addf("segments partition is engine-only (live workers share one batch size)")

@@ -120,6 +120,8 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"stale parallelism", `{"name": "x", "parallelism": 2}`, `unknown field "parallelism"`},
 		{"stale netmax epsilon", `{"name": "x", "netmax": {"epsilon": 0.01}}`, `unknown field "epsilon"`},
 		{"stale live beta", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": 0.5}}`, `unknown field "beta"`},
+		{"stale live uniform", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "uniform": true}}`, `unknown field "uniform"`},
+		{"stale live stale periods", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "stale_periods": 3}}`, `unknown field "stale_periods"`},
 		{"straggler range", `{"name": "x", "workers": 4, "compute": {"kind": "straggler", "worker": 6, "factor": 5}}`, "outside [0, 4)"},
 		{"live without bound", `{"name": "x", "runtime": "live", "live": {}}`, "need a bound"},
 		{"live with engine block", `{"name": "x", "runtime": "live", "epochs": 4, "live": {"iterations": 5}}`, "engine-only"},

@@ -63,34 +63,9 @@ func WriteCurvesCSV(w io.Writer, curves map[string][]engine.Point) error {
 	return cw.Error()
 }
 
-// ResultJSON is the JSON projection of an engine.Result.
-type ResultJSON struct {
-	Algo          string         `json:"algo"`
-	Curve         []engine.Point `json:"curve"`
-	FinalLoss     float64        `json:"final_loss"`
-	FinalAccuracy float64        `json:"final_accuracy"`
-	TotalTime     float64        `json:"total_time_seconds"`
-	GlobalSteps   int            `json:"global_steps"`
-	CompSecs      float64        `json:"comp_seconds"`
-	CommSecs      float64        `json:"comm_seconds"`
-	BytesSent     int64          `json:"bytes_sent"`
-	Epochs        int            `json:"epochs"`
-}
-
 // WriteResultJSON writes one result as indented JSON.
 func WriteResultJSON(w io.Writer, r *engine.Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(ResultJSON{
-		Algo:          r.Algo,
-		Curve:         r.Curve,
-		FinalLoss:     r.FinalLoss,
-		FinalAccuracy: r.FinalAccuracy,
-		TotalTime:     r.TotalTime,
-		GlobalSteps:   r.GlobalSteps,
-		CompSecs:      r.CompSecs,
-		CommSecs:      r.CommSecs,
-		BytesSent:     r.BytesSent,
-		Epochs:        r.Epochs,
-	})
+	return enc.Encode(r)
 }

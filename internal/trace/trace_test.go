@@ -83,20 +83,9 @@ func TestResultJSONRoundTrip(t *testing.T) {
 // readResultJSON parses a result written by WriteResultJSON back into an
 // engine.Result: the round-trip test's reference decoder.
 func readResultJSON(r io.Reader) (*engine.Result, error) {
-	var rj ResultJSON
-	if err := json.NewDecoder(r).Decode(&rj); err != nil {
+	var res engine.Result
+	if err := json.NewDecoder(r).Decode(&res); err != nil {
 		return nil, fmt.Errorf("trace: decode result: %w", err)
 	}
-	return &engine.Result{
-		Algo:          rj.Algo,
-		Curve:         rj.Curve,
-		FinalLoss:     rj.FinalLoss,
-		FinalAccuracy: rj.FinalAccuracy,
-		TotalTime:     rj.TotalTime,
-		GlobalSteps:   rj.GlobalSteps,
-		CompSecs:      rj.CompSecs,
-		CommSecs:      rj.CommSecs,
-		BytesSent:     rj.BytesSent,
-		Epochs:        rj.Epochs,
-	}, nil
+	return &res, nil
 }
