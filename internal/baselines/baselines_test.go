@@ -60,10 +60,6 @@ func TestADPSGDTrains(t *testing.T) {
 	}
 }
 
-func TestGossipTrains(t *testing.T) {
-	checkTrains(t, RunGossip(homConfig(4, 6)), "Gossip", 6)
-}
-
 func TestAllreduceTrains(t *testing.T) {
 	r := RunAllreduce(hetConfig(4, 6, 3))
 	checkTrains(t, r, "Allreduce", 6)
@@ -257,4 +253,27 @@ func connected(adj [][]bool) bool {
 		}
 	}
 	return count == len(adj)
+}
+
+func TestSAPSMovesFewerBytesThanADPSGD(t *testing.T) {
+	sp := RunSAPS(hetConfig(8, 6, 9))
+	ad := RunADPSGD(hetConfig(8, 6, 9))
+	if sp.BytesSent >= ad.BytesSent {
+		t.Fatalf("SAPS bytes %d should be far below AD-PSGD %d (sparsified transfers)", sp.BytesSent, ad.BytesSent)
+	}
+}
+
+func TestBytesSentAccounting(t *testing.T) {
+	r := RunADPSGD(hetConfig(4, 2, 11))
+	// Every non-self iteration moves one full model; bytes for in-flight
+	// iterations at shutdown are counted too, so allow up to one extra
+	// model per worker.
+	want := int64(r.GlobalSteps+4) * hetConfig(4, 1, 1).Spec.ModelBytes()
+	if r.BytesSent <= 0 || r.BytesSent > want {
+		t.Fatalf("BytesSent = %d, want in (0, %d]", r.BytesSent, want)
+	}
+	ar := RunAllreduce(hetConfig(4, 2, 11))
+	if ar.BytesSent <= 0 {
+		t.Fatal("allreduce bytes not recorded")
+	}
 }

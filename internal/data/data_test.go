@@ -61,12 +61,13 @@ func TestBatchWrapsAround(t *testing.T) {
 	train, _ := SynthMNIST.Generate(3)
 	n := train.Len()
 	x, labels := train.Batch(n-2, 5)
-	if x.Rows() != 5 || len(labels) != 5 {
+	if x.Shape[0] != 5 || len(labels) != 5 {
 		t.Fatalf("batch shape wrong: %v, %d labels", x.Shape, len(labels))
 	}
 	// Row 2 of the batch should equal dataset row 0.
-	for j := 0; j < train.Dim(); j++ {
-		if x.At(2, j) != train.X.At(0, j) {
+	dim := train.Dim()
+	for j := 0; j < dim; j++ {
+		if x.Data[2*dim+j] != train.X.Data[j] {
 			t.Fatal("wrap-around row mismatch")
 		}
 	}
@@ -128,7 +129,8 @@ func TestUniformPartitionDisjoint(t *testing.T) {
 	seen := make(map[[2]float64]int)
 	for si, s := range p.Shards {
 		for i := 0; i < s.Len(); i++ {
-			key := [2]float64{s.X.At(i, 0), s.X.At(i, 1)}
+			row := s.X.Data[i*s.Dim():]
+			key := [2]float64{row[0], row[1]}
 			if prev, ok := seen[key]; ok && prev != si {
 				t.Fatalf("row shared between shards %d and %d", prev, si)
 			}

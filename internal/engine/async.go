@@ -9,7 +9,7 @@ import (
 )
 
 // AsyncBehavior parameterizes the shared asynchronous pull loop: NetMax,
-// AD-PSGD, GoSGD-style gossip, SAPS-PSGD and AD-PSGD+Monitor are all
+// AD-PSGD, SAPS-PSGD and AD-PSGD+Monitor are all
 // "select a peer, pull its model, blend" algorithms that differ only in how
 // peers are selected, how the pulled model is weighted, and what periodic
 // control runs alongside.
@@ -55,8 +55,8 @@ type MembershipAware interface {
 }
 
 // PartialTransferrer is an optional AsyncBehavior refinement for methods
-// that send only part of the model per pull (DLion-style capacity-scaled
-// partitions): TransferBytes maps the full model size to the bytes actually
+// that send only part of the model per pull (SAPS-PSGD's sparsified
+// transfers): TransferBytes maps the full model size to the bytes actually
 // moved for the current iteration.
 type PartialTransferrer interface {
 	TransferBytes(full int64) int64

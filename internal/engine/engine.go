@@ -12,7 +12,6 @@ import (
 	"container/heap"
 	"math/rand"
 
-	"netmax/internal/autograd"
 	"netmax/internal/codec"
 	"netmax/internal/data"
 	"netmax/internal/nn"
@@ -167,14 +166,11 @@ func (w *Worker) NextBatch() (x *tensor.Tensor, labels []int) {
 }
 
 // ComputeGrad runs forward+backward on (x, labels), leaving the gradients in
-// the model's Grad buffers, and returns the batch loss. It touches only this
-// worker's replica, so distinct workers' ComputeGrad calls are safe to run
-// concurrently.
+// the model's gradient buffers, and returns the batch loss. It touches only
+// this worker's replica, so distinct workers' ComputeGrad calls are safe to
+// run concurrently.
 func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) float64 {
-	w.Model.ZeroGrad()
-	l := w.Model.Loss(x, labels)
-	autograd.Backward(l)
-	return l.Item()
+	return w.Model.Grad(x, labels)
 }
 
 // ApplyStep applies the optimizer to the gradients left by ComputeGrad
@@ -191,7 +187,7 @@ func (w *Worker) GradStep() (loss float64, samples int) {
 }
 
 // GradOnly computes gradients on the worker's next batch without applying
-// them (they remain in the model's Grad buffers), for algorithms that
+// them (they remain in the model's gradient buffers), for algorithms that
 // average gradients across workers before stepping (Allreduce-SGD, PS-syn).
 func (w *Worker) GradOnly() (loss float64, samples int) {
 	x, labels := w.NextBatch()
@@ -356,7 +352,7 @@ func (t *Tracker) Done() bool { return t.epochsDone >= t.cfg.Epochs }
 
 func (t *Tracker) recordPoint(now float64) {
 	avg := AverageModel(t.cfg.Spec, t.cfg.Seed, t.ws)
-	loss := avg.Loss(t.evalX, t.evalLabels).Item()
+	loss := avg.Loss(t.evalX, t.evalLabels)
 	t.res.Curve = append(t.res.Curve, Point{Time: now, Epoch: float64(t.epochsDone), Value: loss})
 }
 

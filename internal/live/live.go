@@ -13,6 +13,7 @@ package live
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,6 +122,22 @@ func (w *worker) vector() []float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.Model.Vector()
+}
+
+// validPolicy reports whether a fetched policy fits an m-worker group: P is
+// m×m and ρ is finite and positive. The policy may come over a socket from
+// a monitor serving another group, so a policy of any other shape is
+// ignored rather than indexed.
+func validPolicy(P [][]float64, rho float64, m int) bool {
+	if len(P) != m || !(rho > 0) || math.IsInf(rho, 1) {
+		return false
+	}
+	for _, row := range P {
+		if len(row) != m {
+			return false
+		}
+	}
+	return true
 }
 
 // Hub is the transport surface the live group needs; both
@@ -249,15 +266,16 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 					}
 					hub.SetWorkerDown(w.ID, false)
 				}
-				// Adopt a newer policy if one was broadcast (the peer falls
-				// back to uniform selection if the policy pins it to self).
+				// Adopt a newer policy if one was broadcast and fits the
+				// group (the peer falls back to uniform selection if the
+				// policy pins it to self).
 				// Masks reset only for peers the new row assigns mass — the
 				// monitor believes those are usable. (A version generated
 				// just before a crash can still carry mass on the dead peer
 				// and cost one more deadline; the cooldown bounds that.) A
 				// masked peer the policy dropped stays masked, which is a
 				// no-op anyway since its row mass is zero.
-				if p, rho, v, err := monClient.FetchPolicy(); err == nil && v > w.version && p != nil {
+				if p, rho, v, err := monClient.FetchPolicy(); err == nil && v > w.version && validPolicy(p, rho, m) {
 					w.peer.Adopt(p, rho)
 					w.version = v
 					for k, mk := range w.masked {
@@ -344,7 +362,7 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	return &Stats{
 		IterationsPerWorker: counts,
 		FinalAccuracy:       avg.Accuracy(x, labels),
-		FinalLoss:           avg.Loss(x, labels).Item(),
+		FinalLoss:           avg.Loss(x, labels),
 		PolicyVersions:      version,
 		BytesOnWire:         wireBytes.Load(),
 		Pulls:               pulls.Load(),

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -238,5 +239,65 @@ func TestLiveCodecOverTCP(t *testing.T) {
 	}
 	if stats.BytesOnWire == 0 || stats.Pulls == 0 {
 		t.Fatalf("no traffic recorded: %+v", stats)
+	}
+}
+
+// badPolicyHub serves a fixed policy from its monitor client in place of
+// the group monitor's.
+type badPolicyHub struct {
+	*transport.LocalNet
+	p   [][]float64
+	rho float64
+}
+
+func (h *badPolicyHub) Monitor() transport.MonitorClient {
+	return badPolicyClient{h.LocalNet.Monitor(), h}
+}
+
+type badPolicyClient struct {
+	transport.MonitorClient
+	h *badPolicyHub
+}
+
+func (c badPolicyClient) FetchPolicy() ([][]float64, float64, int, error) {
+	return c.h.p, c.h.rho, 1, nil
+}
+
+// TestLiveIgnoresMisshapenPolicy: a worker must not adopt a policy that does
+// not fit its group (wrong size, ragged rows, non-finite or non-positive ρ);
+// it keeps its uniform row and the run finishes.
+func TestLiveIgnoresMisshapenPolicy(t *testing.T) {
+	sq := func(n int) [][]float64 {
+		p := make([][]float64, n)
+		for i := range p {
+			p[i] = make([]float64, n)
+			for j := range p[i] {
+				p[i][j] = 1 / float64(n)
+			}
+		}
+		return p
+	}
+	ragged := sq(4)
+	ragged[3] = ragged[3][:2]
+	for name, c := range map[string]struct {
+		p   [][]float64
+		rho float64
+	}{
+		"2x2":     {sq(2), 0.5},
+		"ragged":  {ragged, 0.5},
+		"rho NaN": {sq(4), math.NaN()},
+		"rho Inf": {sq(4), math.Inf(1)},
+		"rho 0":   {sq(4), 0},
+	} {
+		hub := &badPolicyHub{LocalNet: transport.NewLocalNet(), p: c.p, rho: c.rho}
+		stats := Run(context.Background(), liveConfig(4, 20), hub)
+		for i, n := range stats.IterationsPerWorker {
+			if n != 20 {
+				t.Fatalf("%s: worker %d did %d iterations, want 20", name, i, n)
+			}
+		}
+		if math.IsNaN(stats.FinalLoss) {
+			t.Fatalf("%s: final loss NaN", name)
+		}
 	}
 }

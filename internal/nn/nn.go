@@ -1,11 +1,15 @@
-// Package nn provides neural-network layers, models and the SGD optimizer
-// built on the internal autograd engine.
+// Package nn provides the MLP stand-in model with its explicit forward and
+// backward pass, and the SGD optimizer, built on internal/tensor.
+//
+// The network is Linear → ReLU → … → Linear with a softmax cross-entropy
+// loss; Grad backpropagates through exactly that stack, so no general
+// autodiff machinery is needed.
 //
 // A central requirement of the decentralized algorithms in this repository is
 // treating a model as a flat parameter vector that can be serialized, sent to
 // a peer, and blended into another replica (Algorithm 2, lines 13-15 of the
-// paper). Model therefore exposes VectorLen/CopyVector/SetVector/AXPYVector
-// views over its parameters in addition to the usual Forward/Loss methods.
+// paper). Model therefore exposes VectorLen/CopyVector/SetVector/BlendVector
+// views over its parameters in addition to Loss/Grad/Accuracy.
 package nn
 
 import (
@@ -13,103 +17,216 @@ import (
 	"math"
 	"math/rand"
 
-	"netmax/internal/autograd"
 	"netmax/internal/tensor"
 )
 
-// Layer is a differentiable module.
-type Layer interface {
-	Forward(x *autograd.Value) *autograd.Value
-	Params() []*autograd.Value
+// dense is one fully connected layer y = xW + b of a Model, with its
+// gradient buffers and scratch sized to the last batch.
+type dense struct {
+	W, B   *tensor.Tensor // parameters, (in, out) and (out)
+	GW, GB *tensor.Tensor // gradients left by the last Grad call
+
+	// out holds the layer's activations from the last forward pass (ReLU
+	// applied on hidden layers). On the output layer it holds the logits,
+	// which Loss and Grad overwrite with probabilities and then with the
+	// loss gradient.
+	out *tensor.Tensor // (rows, out)
+	d   *tensor.Tensor // (rows, out): loss gradient at a hidden layer's pre-activation
+	inT *tensor.Tensor // (in, rows): transposed layer input
+	wT  *tensor.Tensor // (out, in): transposed W
 }
 
-// Linear is a fully connected layer: y = xW + b.
-type Linear struct {
-	W *autograd.Value
-	B *autograd.Value
-}
-
-// NewLinear creates a Linear layer with Xavier-style initialization.
-func NewLinear(rng *rand.Rand, in, out int) *Linear {
+// newDense creates a layer with Xavier-style initialization, drawing W from
+// rng.
+func newDense(rng *rand.Rand, in, out int) *dense {
 	std := math.Sqrt(2.0 / float64(in+out))
-	return &Linear{
-		W: autograd.NewLeaf(tensor.Randn(rng, std, in, out), true),
-		B: autograd.NewLeaf(tensor.New(out), true),
+	return &dense{
+		W:  tensor.Randn(rng, std, in, out),
+		B:  tensor.New(out),
+		GW: tensor.New(in, out),
+		GB: tensor.New(out),
 	}
 }
 
-// Forward applies the affine map.
-func (l *Linear) Forward(x *autograd.Value) *autograd.Value {
-	return autograd.AddRowVector(autograd.MatMul(x, l.W), l.B)
+// sized returns t if it already has shape (rows, cols), else a fresh one.
+func sized(t *tensor.Tensor, rows, cols int) *tensor.Tensor {
+	if t != nil && t.Shape[0] == rows && t.Shape[1] == cols {
+		return t
+	}
+	return tensor.New(rows, cols)
 }
 
-// Params returns the trainable leaves.
-func (l *Linear) Params() []*autograd.Value { return []*autograd.Value{l.W, l.B} }
-
-// ReLU is a stateless rectified-linear activation layer.
-type ReLU struct{}
-
-// Forward applies max(x,0).
-func (ReLU) Forward(x *autograd.Value) *autograd.Value { return autograd.ReLU(x) }
-
-// Params returns nil: ReLU has no parameters.
-func (ReLU) Params() []*autograd.Value { return nil }
-
-// Tanh is a stateless hyperbolic-tangent activation layer.
-type Tanh struct{}
-
-// Forward applies tanh elementwise.
-func (Tanh) Forward(x *autograd.Value) *autograd.Value { return autograd.Tanh(x) }
-
-// Params returns nil: Tanh has no parameters.
-func (Tanh) Params() []*autograd.Value { return nil }
-
-// Model is a feed-forward network with a flat-parameter-vector view.
+// Model is a feed-forward ReLU network with a flat-parameter-vector view.
+// Parameters are ordered W1, b1, W2, b2, … in every flat view.
+//
+// A Model owns batch-sized scratch buffers, so it must be used by one
+// goroutine at a time.
 type Model struct {
-	Layers []Layer
-
-	params []*autograd.Value // cached flattened parameter list
-	total  int               // total scalar parameter count
+	layers []*dense
+	params []*tensor.Tensor // W1, b1, W2, b2, …
+	grads  []*tensor.Tensor // gradients, in params order
+	total  int              // total scalar parameter count
 }
 
-// NewModel builds a model from layers and caches the parameter layout.
-func NewModel(layers ...Layer) *Model {
-	m := &Model{Layers: layers}
+func newModel(layers []*dense) *Model {
+	m := &Model{layers: layers}
 	for _, l := range layers {
-		for _, p := range l.Params() {
-			m.params = append(m.params, p)
-			m.total += p.Data.Len()
-		}
+		m.params = append(m.params, l.W, l.B)
+		m.grads = append(m.grads, l.GW, l.GB)
+		m.total += l.W.Len() + l.B.Len()
 	}
 	return m
 }
 
-// Forward runs the network on a batch of inputs (rank-2: batch x features).
-func (m *Model) Forward(x *autograd.Value) *autograd.Value {
-	for _, l := range m.Layers {
-		x = l.Forward(x)
+// forward runs the network on a batch (rank-2: batch x features) and
+// returns the output layer's logits.
+func (m *Model) forward(x *tensor.Tensor) *tensor.Tensor {
+	rows := x.Shape[0]
+	h := x
+	for k, l := range m.layers {
+		l.out = sized(l.out, rows, l.W.Shape[1])
+		tensor.AddRowVectorInto(l.out, tensor.MatMulInto(l.out, h, l.W), l.B)
+		if k < len(m.layers)-1 {
+			for i, v := range l.out.Data {
+				if !(v > 0) { // max(v, 0), with NaN mapped to 0
+					l.out.Data[i] = 0
+				}
+			}
+		}
+		h = l.out
 	}
-	return x
+	return h
 }
 
-// Params returns the flattened list of trainable leaves.
-func (m *Model) Params() []*autograd.Value { return m.params }
+// softmaxXent overwrites logits with their row-wise softmax and returns the
+// mean cross-entropy against labels (numerically stable fused
+// softmax+log+NLL).
+func softmaxXent(logits *tensor.Tensor, labels []int) float64 {
+	m, n := logits.Shape[0], logits.Shape[1]
+	if len(labels) != m {
+		panic(fmt.Sprintf("nn: %d labels for %d rows", len(labels), m))
+	}
+	loss := 0.0
+	for i := 0; i < m; i++ {
+		row := logits.Data[i*n : (i+1)*n]
+		maxv := row[0]
+		for _, v := range row {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		sum := 0.0
+		for j, v := range row {
+			e := math.Exp(v - maxv)
+			row[j] = e
+			sum += e
+		}
+		for j := range row {
+			row[j] /= sum
+		}
+		p := row[labels[i]]
+		if p < 1e-300 {
+			p = 1e-300
+		}
+		loss -= math.Log(p)
+	}
+	return loss / float64(m)
+}
+
+// Loss returns the mean softmax cross-entropy of the model on a batch.
+func (m *Model) Loss(x *tensor.Tensor, labels []int) float64 {
+	return softmaxXent(m.forward(x), labels)
+}
+
+// Grad runs the forward and backward pass on a batch, overwrites every
+// parameter gradient with the gradient of the mean softmax cross-entropy,
+// and returns that loss.
+func (m *Model) Grad(x *tensor.Tensor, labels []int) float64 {
+	d := m.forward(x)
+	loss := softmaxXent(d, labels)
+	// dLoss/dlogits = (softmax - onehot) / rows, in place over the
+	// probabilities.
+	rows, n := d.Shape[0], d.Shape[1]
+	scale := 1 / float64(rows)
+	for i := 0; i < rows; i++ {
+		grow := d.Data[i*n : (i+1)*n]
+		for j := range grow {
+			grow[j] *= scale
+		}
+		grow[labels[i]] -= scale
+	}
+	for k := len(m.layers) - 1; ; k-- {
+		l := m.layers[k]
+		in := x
+		if k > 0 {
+			in = m.layers[k-1].out
+		}
+		tensor.SumRowsInto(l.GB, d)
+		l.inT = sized(l.inT, in.Shape[1], rows)
+		tensor.MatMulInto(l.GW, tensor.TransposeInto(l.inT, in), d)
+		if k == 0 {
+			return loss
+		}
+		// Through W and the previous layer's ReLU: the gradient passes
+		// only where that layer's activation is positive.
+		prev := m.layers[k-1]
+		prev.d = sized(prev.d, rows, in.Shape[1])
+		l.wT = sized(l.wT, l.W.Shape[1], l.W.Shape[0])
+		tensor.MatMulInto(prev.d, d, tensor.TransposeInto(l.wT, l.W))
+		for i, v := range in.Data {
+			if !(v > 0) {
+				prev.d.Data[i] = 0
+			}
+		}
+		d = prev.d
+	}
+}
+
+// Accuracy returns the fraction of rows of x whose argmax logit equals the
+// label.
+func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
+	logits := m.forward(x)
+	correct := 0
+	for i := range labels {
+		if logits.ArgMaxRow(i) == labels[i] {
+			correct++
+		}
+	}
+	if len(labels) == 0 {
+		return 0
+	}
+	return float64(correct) / float64(len(labels))
+}
 
 // VectorLen returns the total number of scalar parameters.
 func (m *Model) VectorLen() int { return m.total }
 
-// CopyVector copies all parameters into dst, which must have length
-// VectorLen, and returns dst.
-func (m *Model) CopyVector(dst []float64) []float64 {
+// copyOut concatenates ts into dst, which must have length VectorLen.
+func (m *Model) copyOut(op string, dst []float64, ts []*tensor.Tensor) []float64 {
 	if len(dst) != m.total {
-		panic(fmt.Sprintf("nn: CopyVector dst length %d, want %d", len(dst), m.total))
+		panic(fmt.Sprintf("nn: %s dst length %d, want %d", op, len(dst), m.total))
 	}
 	off := 0
-	for _, p := range m.params {
-		off += copy(dst[off:], p.Data.Data)
+	for _, t := range ts {
+		off += copy(dst[off:], t.Data)
 	}
 	return dst
 }
+
+// copyIn overwrites ts from src, which must have length VectorLen.
+func (m *Model) copyIn(op string, ts []*tensor.Tensor, src []float64) {
+	if len(src) != m.total {
+		panic(fmt.Sprintf("nn: %s src length %d, want %d", op, len(src), m.total))
+	}
+	off := 0
+	for _, t := range ts {
+		off += copy(t.Data, src[off:off+t.Len()])
+	}
+}
+
+// CopyVector copies all parameters into dst, which must have length
+// VectorLen, and returns dst.
+func (m *Model) CopyVector(dst []float64) []float64 { return m.copyOut("CopyVector", dst, m.params) }
 
 // Vector returns a fresh copy of the parameter vector.
 func (m *Model) Vector() []float64 {
@@ -117,31 +234,7 @@ func (m *Model) Vector() []float64 {
 }
 
 // SetVector overwrites all parameters from src (length VectorLen).
-func (m *Model) SetVector(src []float64) {
-	if len(src) != m.total {
-		panic(fmt.Sprintf("nn: SetVector src length %d, want %d", len(src), m.total))
-	}
-	off := 0
-	for _, p := range m.params {
-		off += copy(p.Data.Data, src[off:off+p.Data.Len()])
-	}
-}
-
-// AXPYVector performs params += s*v over the flat parameter view.
-// This is the primitive used by the consensus second-step update.
-func (m *Model) AXPYVector(s float64, v []float64) {
-	if len(v) != m.total {
-		panic(fmt.Sprintf("nn: AXPYVector length %d, want %d", len(v), m.total))
-	}
-	off := 0
-	for _, p := range m.params {
-		d := p.Data.Data
-		for i := range d {
-			d[i] += s * v[off+i]
-		}
-		off += len(d)
-	}
-}
+func (m *Model) SetVector(src []float64) { m.copyIn("SetVector", m.params, src) }
 
 // BlendVector performs params += c*(v - params) over the flat parameter
 // view, i.e. params = (1-c)*params + c*v. This is exactly the second-step
@@ -153,7 +246,7 @@ func (m *Model) BlendVector(c float64, v []float64) {
 	}
 	off := 0
 	for _, p := range m.params {
-		d := p.Data.Data
+		d := p.Data
 		for i := range d {
 			d[i] += c * (v[off+i] - d[i])
 		}
@@ -161,69 +254,14 @@ func (m *Model) BlendVector(c float64, v []float64) {
 	}
 }
 
-// GradVector copies all parameter gradients into dst (zeros where a
-// parameter has no gradient yet) and returns dst.
-func (m *Model) GradVector(dst []float64) []float64 {
-	if len(dst) != m.total {
-		panic(fmt.Sprintf("nn: GradVector dst length %d, want %d", len(dst), m.total))
-	}
-	off := 0
-	for _, p := range m.params {
-		n := p.Data.Len()
-		if p.Grad == nil {
-			for i := 0; i < n; i++ {
-				dst[off+i] = 0
-			}
-		} else {
-			copy(dst[off:], p.Grad.Data)
-		}
-		off += n
-	}
-	return dst
-}
+// GradVector copies all parameter gradients into dst (zeros before the
+// first Grad call) and returns dst.
+func (m *Model) GradVector(dst []float64) []float64 { return m.copyOut("GradVector", dst, m.grads) }
 
 // SetGradVector overwrites all parameter gradients from src (length
-// VectorLen), allocating gradient tensors where missing. Used by
-// gradient-averaging algorithms (allreduce, parameter server).
-func (m *Model) SetGradVector(src []float64) {
-	if len(src) != m.total {
-		panic(fmt.Sprintf("nn: SetGradVector src length %d, want %d", len(src), m.total))
-	}
-	off := 0
-	for _, p := range m.params {
-		n := p.Data.Len()
-		if p.Grad == nil {
-			p.Grad = tensor.New(p.Data.Shape...)
-		}
-		copy(p.Grad.Data, src[off:off+n])
-		off += n
-	}
-}
-
-// ZeroGrad clears all parameter gradients.
-func (m *Model) ZeroGrad() { autograd.ZeroGrad(m.params...) }
-
-// Loss computes mean softmax cross-entropy on a batch, building the graph.
-func (m *Model) Loss(x *tensor.Tensor, labels []int) *autograd.Value {
-	logits := m.Forward(autograd.Constant(x))
-	return autograd.SoftmaxCrossEntropy(logits, labels)
-}
-
-// Accuracy returns the fraction of rows of x whose argmax logit equals the
-// label. It does not build a gradient graph.
-func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
-	logits := m.Forward(autograd.Constant(x))
-	correct := 0
-	for i := range labels {
-		if logits.Data.ArgMaxRow(i) == labels[i] {
-			correct++
-		}
-	}
-	if len(labels) == 0 {
-		return 0
-	}
-	return float64(correct) / float64(len(labels))
-}
+// VectorLen). Used by gradient-averaging algorithms (allreduce, parameter
+// server).
+func (m *Model) SetGradVector(src []float64) { m.copyIn("SetGradVector", m.grads, src) }
 
 // SGD is a stochastic-gradient-descent optimizer with momentum and weight
 // decay, matching the paper's training configuration (momentum 0.9, weight
@@ -244,20 +282,16 @@ func NewSGD(lr float64) *SGD {
 
 // Step applies one SGD update to the model from its current gradients.
 func (o *SGD) Step(m *Model) {
-	params := m.Params()
 	if o.velocity == nil {
-		o.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float64, p.Data.Len())
+		o.velocity = make([][]float64, len(m.params))
+		for i, p := range m.params {
+			o.velocity[i] = make([]float64, p.Len())
 		}
 	}
-	for i, p := range params {
-		if p.Grad == nil {
-			continue
-		}
+	for i, p := range m.params {
 		v := o.velocity[i]
-		d := p.Data.Data
-		g := p.Grad.Data
+		d := p.Data
+		g := m.grads[i].Data
 		for j := range d {
 			gj := g[j] + o.WeightDecay*d[j]
 			v[j] = o.Momentum*v[j] - o.LR*gj

@@ -4,14 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"netmax/internal/tensor"
 )
 
 func smallModel(seed int64) *Model {
-	rng := rand.New(rand.NewSource(seed))
-	return NewModel(NewLinear(rng, 4, 8), ReLU{}, NewLinear(rng, 8, 3))
+	return ModelSpec{Hidden: []int{8}}.Build(seed, 4, 3)
 }
 
 func TestVectorRoundTrip(t *testing.T) {
@@ -35,51 +33,6 @@ func TestVectorLenMatchesLayers(t *testing.T) {
 	want := 4*8 + 8 + 8*3 + 3
 	if m.VectorLen() != want {
 		t.Fatalf("VectorLen = %d, want %d", m.VectorLen(), want)
-	}
-}
-
-func TestAXPYVector(t *testing.T) {
-	m := smallModel(3)
-	orig := m.Vector()
-	delta := make([]float64, m.VectorLen())
-	for i := range delta {
-		delta[i] = float64(i%5) - 2
-	}
-	m.AXPYVector(0.5, delta)
-	got := m.Vector()
-	for i := range got {
-		want := orig[i] + 0.5*delta[i]
-		if math.Abs(got[i]-want) > 1e-12 {
-			t.Fatalf("AXPY wrong at %d: %v vs %v", i, got[i], want)
-		}
-	}
-}
-
-func TestAXPYVectorProperty(t *testing.T) {
-	// AXPY with s then -s restores the original vector.
-	f := func(seed int64, s float64) bool {
-		if math.IsNaN(s) || math.IsInf(s, 0) || math.Abs(s) > 1e6 {
-			return true
-		}
-		m := smallModel(seed)
-		orig := m.Vector()
-		rng := rand.New(rand.NewSource(seed + 1))
-		v := make([]float64, m.VectorLen())
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		m.AXPYVector(s, v)
-		m.AXPYVector(-s, v)
-		got := m.Vector()
-		for i := range got {
-			if math.Abs(got[i]-orig[i]) > 1e-8*(1+math.Abs(orig[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -129,21 +82,20 @@ func TestLossDecreasesUnderSGD(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c := i % 3
 		labels[i] = c
-		for j := 0; j < 4; j++ {
-			x.Set(i, j, rng.NormFloat64()*0.3)
+		row := x.Data[i*4 : (i+1)*4]
+		for j := range row {
+			row[j] = rng.NormFloat64() * 0.3
 		}
-		x.Set(i, c, x.At(i, c)+2.0)
+		row[c] += 2.0
 	}
 	m := smallModel(11)
 	opt := NewSGD(0.1)
-	first := m.Loss(x, labels).Item()
+	first := m.Loss(x, labels)
 	for it := 0; it < 200; it++ {
-		m.ZeroGrad()
-		loss := m.Loss(x, labels)
-		backwardScalar(loss)
+		m.Grad(x, labels)
 		opt.Step(m)
 	}
-	last := m.Loss(x, labels).Item()
+	last := m.Loss(x, labels)
 	if last > first*0.5 {
 		t.Fatalf("SGD failed to reduce loss: %v -> %v", first, last)
 	}
@@ -157,7 +109,7 @@ func TestGradVectorZerosWithoutBackward(t *testing.T) {
 	g := m.GradVector(make([]float64, m.VectorLen()))
 	for i, v := range g {
 		if v != 0 {
-			t.Fatalf("GradVector[%d] = %v before backward, want 0", i, v)
+			t.Fatalf("GradVector[%d] = %v before Grad, want 0", i, v)
 		}
 	}
 }
@@ -166,13 +118,7 @@ func TestSGDWeightDecayShrinksParams(t *testing.T) {
 	m := smallModel(13)
 	opt := &SGD{LR: 0.1, Momentum: 0, WeightDecay: 0.5}
 	before := m.Vector()
-	// No gradients: only weight decay acts... but Step skips params with nil
-	// Grad, so force a zero backward pass first.
-	x := tensor.New(2, 4)
-	labels := []int{0, 1}
-	m.ZeroGrad()
-	backwardScalar(m.Loss(x, labels))
-	m.ZeroGrad() // zero out the actual gradients, keep Grad tensors allocated
+	// No Grad call: the gradients are zero, so only weight decay acts.
 	opt.Step(m)
 	after := m.Vector()
 	norm := func(v []float64) float64 {

@@ -59,12 +59,11 @@ func (s ModelSpec) ModelBytes() int64 { return s.RealParams * 4 }
 // parameters, which the decentralized trainers rely on.
 func (s ModelSpec) Build(seed int64, inputDim, classes int) *Model {
 	rng := rand.New(rand.NewSource(seed))
-	var layers []Layer
+	var layers []*dense
 	prev := inputDim
 	for _, h := range s.Hidden {
-		layers = append(layers, NewLinear(rng, prev, h), ReLU{})
+		layers = append(layers, newDense(rng, prev, h))
 		prev = h
 	}
-	layers = append(layers, NewLinear(rng, prev, classes))
-	return NewModel(layers...)
+	return newModel(append(layers, newDense(rng, prev, classes)))
 }

@@ -4,8 +4,8 @@ import "math/rand"
 
 // Sample draws one index from the probability row (row[j] is the
 // probability of selecting j; row[self] is the probability of selecting no
-// peer). It is the peer-selection primitive of the uniform gossip
-// baselines, DLion and Hop; NetMax samples through SampleMasked, from
+// peer). It is the peer-selection primitive of the uniform baselines
+// (AD-PSGD, SAPS-PSGD) and Hop; NetMax samples through SampleMasked, from
 // core.Peer in both runtimes. Either consumes exactly one rng.Float64 per
 // call.
 //

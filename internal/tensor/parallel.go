@@ -120,7 +120,7 @@ func parallelFor(n, grain int, f func(lo, hi int)) {
 // stay below it and run serially, which is the right call at that size.
 const matMulGrainFlops = 64 * 1024
 
-// matMulInto is the shared kernel of MatMul and MatMulInto: out = a@b with
+// matMulInto is the kernel behind MatMulInto: out += a@b with
 // row panels of out sharded across the pool. Each output row is produced
 // start-to-finish by one task with the serial loop's arithmetic order, so the
 // result is bitwise identical at any parallel degree.

@@ -1,20 +1,17 @@
-// Package tensor implements a small dense float64 tensor library used as the
-// numeric substrate for the autograd engine and the neural-network layers.
+// Package tensor implements the small dense float64 kernels the MLP in
+// internal/nn runs its forward and backward pass on.
 //
-// Tensors are row-major, at most rank 2 in practice (the model zoo uses
-// vectors and matrices), but the type supports arbitrary rank. All operations
-// allocate their result unless the method name ends in "Into" or is
-// documented as in-place; "Into" variants write into a caller-owned
-// destination so hot loops can reuse buffers (see GetPooled/Recycle for the
-// size-keyed arena they pair with). Large MatMuls shard row panels across a
-// persistent worker pool sized to runtime.NumCPU() (see SetParallelism);
-// sharding never changes arithmetic order, so parallel results are bitwise
-// identical to serial ones.
+// Tensors are row-major vectors and matrices. Every kernel writes into a
+// caller-owned destination ("Into"), which the caller sizes once and reuses
+// across batches; each kernel's comment says whether dst may alias an
+// operand. Large MatMuls shard row panels across a persistent worker pool
+// sized to runtime.NumCPU() (see SetParallelism); sharding never changes
+// arithmetic order, so parallel results are bitwise identical to serial
+// ones.
 package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -36,32 +33,11 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
 }
 
-// FromSlice wraps data (not copied) with the given shape.
-func FromSlice(data []float64, shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v does not match data length %d", shape, len(data)))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
-}
-
 // Randn returns a tensor with entries drawn from N(0, std²) using rng.
 func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
 		t.Data[i] = rng.NormFloat64() * std
-	}
-	return t
-}
-
-// Full returns a tensor filled with v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = v
 	}
 	return t
 }
@@ -72,140 +48,12 @@ func (t *Tensor) Len() int { return len(t.Data) }
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
-// Rows returns the first dimension (1 for scalars/vectors of rank<1).
-func (t *Tensor) Rows() int {
-	if len(t.Shape) == 0 {
-		return 1
-	}
-	return t.Shape[0]
-}
-
 // Cols returns the second dimension, or 1 if rank < 2.
 func (t *Tensor) Cols() int {
 	if len(t.Shape) < 2 {
 		return 1
 	}
 	return t.Shape[1]
-}
-
-// At returns the element at a rank-2 index.
-func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols()+j] }
-
-// Set assigns the element at a rank-2 index.
-func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.Cols()+j] = v }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *Tensor) String() string {
-	return fmt.Sprintf("Tensor%v%v", t.Shape, t.Data)
-}
-
-func assertSameShape(op string, a, b *Tensor) {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.Shape, b.Shape))
-	}
-}
-
-func assertSameLen(op string, dst, a *Tensor) {
-	if len(dst.Data) != len(a.Data) {
-		panic(fmt.Sprintf("tensor: %s dst length %d, want %d", op, len(dst.Data), len(a.Data)))
-	}
-}
-
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	return AddInto(New(a.Shape...), a, b)
-}
-
-// AddInto writes a + b elementwise into dst (same element count as a and b).
-// dst may alias either operand.
-func AddInto(dst, a, b *Tensor) *Tensor {
-	assertSameShape("AddInto", a, b)
-	assertSameLen("AddInto", dst, a)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return dst
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	return SubInto(New(a.Shape...), a, b)
-}
-
-// SubInto writes a - b elementwise into dst (same element count as a and b).
-// dst may alias either operand.
-func SubInto(dst, a, b *Tensor) *Tensor {
-	assertSameShape("SubInto", a, b)
-	assertSameLen("SubInto", dst, a)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return dst
-}
-
-// Mul returns the elementwise (Hadamard) product.
-func Mul(a, b *Tensor) *Tensor {
-	return MulInto(New(a.Shape...), a, b)
-}
-
-// MulInto writes the elementwise product a*b into dst (same element count).
-// dst may alias either operand.
-func MulInto(dst, a, b *Tensor) *Tensor {
-	assertSameShape("MulInto", a, b)
-	assertSameLen("MulInto", dst, a)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return dst
-}
-
-// Scale returns a*s.
-func Scale(a *Tensor, s float64) *Tensor {
-	return ScaleInto(New(a.Shape...), a, s)
-}
-
-// ScaleInto writes a*s into dst (same element count). dst may alias a.
-func ScaleInto(dst, a *Tensor, s float64) *Tensor {
-	assertSameLen("ScaleInto", dst, a)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] * s
-	}
-	return dst
-}
-
-// AddInPlace adds b into a.
-func (t *Tensor) AddInPlace(b *Tensor) {
-	assertSameShape("AddInPlace", t, b)
-	for i := range t.Data {
-		t.Data[i] += b.Data[i]
-	}
-}
-
-// AXPY performs t += s*b in place.
-func (t *Tensor) AXPY(s float64, b *Tensor) {
-	assertSameShape("AXPY", t, b)
-	for i := range t.Data {
-		t.Data[i] += s * b.Data[i]
-	}
 }
 
 // Zero sets all elements to 0.
@@ -226,16 +74,6 @@ func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
 	return m, k, n
 }
 
-// MatMul returns a@b for rank-2 tensors. Large products are sharded across
-// the package worker pool (see MatMulInto for the reuse variant); results
-// are bitwise identical at any parallel degree.
-func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMulShapes(a, b)
-	out := New(m, n)
-	matMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes a@b into dst, which must have shape (a rows, b cols)
 // and must not alias a or b. dst is overwritten, not accumulated into.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
@@ -248,16 +86,6 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: Transpose requires rank-2 operand")
-	}
-	out := New(a.Shape[1], a.Shape[0])
-	transposeInto(out, a)
-	return out
-}
-
 // TransposeInto writes the transpose of rank-2 a into dst, which must have
 // shape (a cols, a rows) and must not alias a.
 func TransposeInto(dst, a *Tensor) *Tensor {
@@ -267,64 +95,11 @@ func TransposeInto(dst, a *Tensor) *Tensor {
 	if dst.Rank() != 2 || dst.Shape[0] != a.Shape[1] || dst.Shape[1] != a.Shape[0] {
 		panic(fmt.Sprintf("tensor: TransposeInto dst shape %v for operand %v", dst.Shape, a.Shape))
 	}
-	transposeInto(dst, a)
-	return dst
-}
-
-func transposeInto(dst, a *Tensor) {
 	m, n := a.Shape[0], a.Shape[1]
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			dst.Data[j*m+i] = a.Data[i*n+j]
 		}
-	}
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
-}
-
-// Dot returns the inner product of two tensors viewed as flat vectors.
-func Dot(a, b *Tensor) float64 {
-	if len(a.Data) != len(b.Data) {
-		panic("tensor: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of the tensor viewed as a flat vector.
-func (t *Tensor) Norm2() float64 {
-	return math.Sqrt(Dot(t, t))
-}
-
-// Apply returns f applied elementwise.
-func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	return ApplyInto(New(a.Shape...), a, f)
-}
-
-// ApplyInto writes f applied elementwise over a into dst (same element
-// count). dst may alias a: the transform is purely elementwise.
-func ApplyInto(dst, a *Tensor, f func(float64) float64) *Tensor {
-	assertSameLen("ApplyInto", dst, a)
-	for i, v := range a.Data {
-		dst.Data[i] = f(v)
 	}
 	return dst
 }
@@ -342,11 +117,6 @@ func (t *Tensor) ArgMaxRow(i int) int {
 	return best
 }
 
-// AddRowVector adds vector v (length = cols) to every row of a rank-2 tensor.
-func AddRowVector(a, v *Tensor) *Tensor {
-	return AddRowVectorInto(New(a.Shape...), a, v)
-}
-
 // AddRowVectorInto writes a + v (v broadcast over rows) into dst (same
 // element count as a). dst may alias a.
 func AddRowVectorInto(dst, a, v *Tensor) *Tensor {
@@ -354,18 +124,15 @@ func AddRowVectorInto(dst, a, v *Tensor) *Tensor {
 	if v.Len() != n {
 		panic(fmt.Sprintf("tensor: AddRowVector length %d vs cols %d", v.Len(), n))
 	}
-	assertSameLen("AddRowVectorInto", dst, a)
+	if len(dst.Data) != len(a.Data) {
+		panic(fmt.Sprintf("tensor: AddRowVectorInto dst length %d, want %d", len(dst.Data), len(a.Data)))
+	}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			dst.Data[i*n+j] = a.Data[i*n+j] + v.Data[j]
 		}
 	}
 	return dst
-}
-
-// SumRows returns the column-wise sums of a rank-2 tensor as a vector.
-func SumRows(a *Tensor) *Tensor {
-	return SumRowsInto(New(a.Shape[1]), a)
 }
 
 // SumRowsInto writes the column-wise sums of rank-2 a into vector dst
@@ -382,41 +149,4 @@ func SumRowsInto(dst, a *Tensor) *Tensor {
 		}
 	}
 	return dst
-}
-
-// MaxAbs returns the maximum absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Equal reports exact equality of shape and data.
-func Equal(a, b *Tensor) bool {
-	if !a.SameShape(b) {
-		return false
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AllClose reports whether all elements differ by at most tol.
-func AllClose(a, b *Tensor, tol float64) bool {
-	if !a.SameShape(b) {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

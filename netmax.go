@@ -28,16 +28,16 @@
 // # Performance
 //
 // The compute core scales with the host: large tensor products shard across
-// a persistent worker pool, the autograd tape reuses buffers from a
-// size-keyed arena instead of allocating per op, and the discrete-event
-// engine steps workers whose events are independent at the same virtual
-// timestamp concurrently. All of it is bitwise deterministic — results are
+// a persistent worker pool, each model backpropagates through buffers it
+// sizes once per batch shape instead of allocating per step, and the
+// discrete-event engine steps workers whose events are independent at the
+// same virtual timestamp concurrently. All of it is bitwise deterministic — results are
 // identical at any parallelism, only wall-clock changes, so parallelism is
 // a host setting rather than part of a manifest. The -par flag of
 // cmd/netmax-bench and cmd/netmax-scenario pins it process-wide (0 means
 // one worker per CPU, 1 reproduces the serial loop), and netmax-bench
 // -bench-out records the perf trajectory (see BENCH_baseline.json /
-// BENCH_pr1.json and README.md for the buffer-pool lifecycle rules).
+// BENCH_pr1.json and README.md for the kernels' aliasing rules).
 package netmax
 
 import (

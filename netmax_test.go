@@ -40,7 +40,7 @@ func TestPublicBaselinesShareConfigShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []string{"adpsgd", "allreduce", "gossip"} {
+	for _, algo := range []string{"adpsgd", "allreduce", "saps"} {
 		run := *sc
 		run.Algorithm = algo
 		r := runEngine(t, &run)
