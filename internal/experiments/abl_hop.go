@@ -38,7 +38,7 @@ func runAblHop(opt Options) (*Result, error) {
 		m.Network = &scenario.NetworkSpec{Kind: "heterogeneous", PeriodSecs: 1e7}
 		ms = append(ms, m)
 	}
-	rs, err := run("abl-hop", serial, ms)
+	rs, err := run("abl-hop", ms)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,7 @@ func runAblSAPS(opt Options) (*Result, error) {
 			ms = append(ms, m)
 		}
 	}
-	rs, err := run("abl-saps", serial, ms)
+	rs, err := run("abl-saps", ms)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func runAblSAPS(opt Options) (*Result, error) {
 func runAblDPSGD(opt Options) (*Result, error) {
 	const workers = 8
 	epochs := scaleEpochs(16, opt)
-	rs, err := run("abl-dpsgd", serial, []*scenario.Manifest{
+	rs, err := run("abl-dpsgd", []*scenario.Manifest{
 		manifest("dpsgd", "ResNet18", "CIFAR10", workers, epochs, opt),
 		manifest("netmax", "ResNet18", "CIFAR10", workers, epochs, opt),
 	})

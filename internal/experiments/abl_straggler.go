@@ -27,7 +27,7 @@ func runAblStraggler(opt Options) (*Result, error) {
 		straggler.Compute = &scenario.ComputeSpec{Kind: "straggler", Worker: 3, Factor: 5}
 		ms = append(ms, uniform, straggler)
 	}
-	rs, err := run("abl-straggler", serial, ms)
+	rs, err := run("abl-straggler", ms)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func ablation(nm *scenario.NetMaxSpec, epochs int, opt Options) *scenario.Manife
 // delta between NetMax and AD-PSGD+Monitor).
 func runAblBlend(opt Options) (*Result, error) {
 	epochs := scaleEpochs(30, opt)
-	rs, err := run("abl-blend", serial, []*scenario.Manifest{
+	rs, err := run("abl-blend", []*scenario.Manifest{
 		ablation(nil, epochs, opt),
 		ablation(&scenario.NetMaxSpec{FixedBlend: true}, epochs, opt),
 	})
@@ -56,7 +56,7 @@ func sweep(id, title, param string, labels []string, nms []*scenario.NetMaxSpec,
 	for k, nm := range nms {
 		ms[k] = ablation(nm, epochs, opt)
 	}
-	rs, err := run(id, serial, ms)
+	rs, err := run(id, ms)
 	if err != nil {
 		return nil, err
 	}

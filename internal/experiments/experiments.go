@@ -111,27 +111,17 @@ func homogeneous(m *scenario.Manifest) *scenario.Manifest {
 	return m
 }
 
-// Suite parallelism for run. A figure's compared arms run concurrently
-// (the process default); figures that sweep several configurations run
-// one member at a time, because every dynamic network materialises its
-// whole slowdown schedule up front and concurrent sweeps multiply peak
-// memory (abl-saps' shuffled networks most of all).
-const (
-	concurrent = 0
-	serial     = 1
-)
-
 // run executes an experiment's manifests as one suite named after the
-// experiment, at most par members at a time. Every run is internally
+// experiment, at the process default parallelism. Every run is internally
 // deterministic, so the results come back in manifest order and are
-// identical at any par.
-func run(id string, par int, ms []*scenario.Manifest) ([]*engine.Result, error) {
+// identical at any parallelism.
+func run(id string, ms []*scenario.Manifest) ([]*engine.Result, error) {
 	s := &scenario.Suite{Name: id}
 	for k, m := range ms {
 		m.Name = fmt.Sprintf("%s-%d", id, k)
 		s.Runs = append(s.Runs, scenario.SuiteMember{Manifest: m})
 	}
-	rep, err := scenario.RunSuite(s, scenario.SuiteRunOptions{Par: par})
+	rep, err := scenario.RunSuite(s, scenario.SuiteRunOptions{})
 	if err != nil {
 		return nil, err
 	}

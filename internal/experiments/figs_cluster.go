@@ -58,7 +58,7 @@ func epochTimeDecomposition(id, title string, hom bool, opt Options) (*Result, e
 			ms = append(ms, m)
 		}
 	}
-	rs, err := run(id, serial, ms)
+	rs, err := run(id, ms)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +127,7 @@ func runFig7(opt Options) (*Result, error) {
 			}
 		}
 	}
-	rs, err := run("fig7", serial, ms)
+	rs, err := run("fig7", ms)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func lossVsTime(id, title string, hom bool, opt Options) (*Result, error) {
 			ms = append(ms, m)
 		}
 	}
-	all, err := run(id, concurrent, ms)
+	all, err := run(id, ms)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +246,7 @@ func scalability(id, title string, nodeCounts []int, hom bool, opt Options) (*Re
 			ms = append(ms, m)
 		}
 	}
-	rs, err := run(id, serial, ms)
+	rs, err := run(id, ms)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,7 @@ func segmentsExperiment(id, title, dataset, model string, segments []int, fullEp
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "final loss", "accuracy"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs, err := run(id, concurrent, ms)
+	rs, err := run(id, ms)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func runFig18(opt Options) (*Result, error) {
 		Header: []string{"approach", "total time (s)", "time to target (s)", "final loss", "accuracy"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs, err := run("fig18", concurrent, ms)
+	rs, err := run("fig18", ms)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func runTab5(opt Options) (*Result, error) {
 			ms = append(ms, m)
 		}
 	}
-	rs, err := run("tab5", serial, ms)
+	rs, err := run("tab5", ms)
 	if err != nil {
 		return nil, err
 	}

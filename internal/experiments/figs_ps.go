@@ -40,7 +40,7 @@ func runFig14(opt Options) (*Result, error) {
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "accuracy"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs, err := run("fig14", concurrent, ms)
+	rs, err := run("fig14", ms)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func runFig15(opt Options) (*Result, error) {
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "final loss"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs, err := run("fig15", serial, ms)
+	rs, err := run("fig15", ms)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func runFig19(opt Options) (*Result, error) {
 			ms = append(ms, m)
 		}
 	}
-	all, err := run("fig19", concurrent, ms)
+	all, err := run("fig19", ms)
 	if err != nil {
 		return nil, err
 	}

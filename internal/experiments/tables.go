@@ -32,7 +32,7 @@ func accuracyTable(id, title string, nodeCounts []int, hom bool, opt Options) (*
 			}
 		}
 	}
-	rs, err := run(id, serial, ms)
+	rs, err := run(id, ms)
 	if err != nil {
 		return nil, err
 	}

@@ -131,7 +131,8 @@ type NetworkSpec struct {
 	// seconds, the paper's 300s over the 50x time scale).
 	PeriodSecs float64 `json:"period_secs,omitempty"`
 	// HorizonSecs is how much virtual time the dynamic schedule covers;
-	// 0 selects 1e7 (effectively unbounded).
+	// 0 selects 1e7 (effectively unbounded). The schedule is generated on
+	// demand up to it, and its last period stays in force after it.
 	HorizonSecs float64 `json:"horizon_secs,omitempty"`
 }
 
@@ -307,7 +308,8 @@ const (
 	// 300s over the 50x time scale.
 	DefaultSlowPeriod = 6.0
 	// DefaultHorizon is the virtual-time span dynamic network schedules
-	// cover; effectively unbounded.
+	// cover; effectively unbounded. Periods are built only when a lookup
+	// reaches them, so a large horizon costs nothing.
 	DefaultHorizon = 1e7
 )
 

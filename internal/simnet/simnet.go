@@ -98,15 +98,22 @@ func SingleMachine(m int) *Topology {
 	return Cluster([]int{m})
 }
 
-// slowdown is one entry of the dynamic schedule: from Start, link (A,B) is
-// slowed by Factor.
-type slowdown struct {
+// phase is one period of a dynamic schedule: from Start, link (A,B) is
+// slowed by Factor (NewHeterogeneousPeriod), or, when Fast is non-nil, the
+// pairs marked in Fast run at IntraRate and all others at InterRate
+// (NewShuffledRates). Fast is indexed by i*M+j and holds both orientations.
+type phase struct {
 	Start  float64
 	A, B   int
 	Factor float64
+	Fast   []bool
 }
 
 // Network converts (link, bytes, virtual time) into transfer seconds.
+//
+// A Network belongs to one run and is not safe for concurrent use: a
+// dynamic schedule is generated on demand, so a rate lookup may append to
+// it.
 type Network struct {
 	Topo *Topology
 
@@ -115,19 +122,23 @@ type Network struct {
 	IntraRate float64
 	InterRate float64
 
-	// schedule of slowdown events, ascending by Start. At any time exactly
-	// one (or zero) entry is active: the latest one with Start <= now.
-	schedule []slowdown
+	// schedule holds the dynamic periods built so far, ascending by Start.
+	// At any time exactly one (or zero) entry is active: the latest one
+	// with Start <= now. Period k starts at the k-th accumulation of
+	// period from 0 (so start times match a `t += period` loop bit for
+	// bit) and is drawn from the network's RNG by draw the first time a
+	// lookup reaches it; periods start only before horizon, and the last
+	// one stays in force after it. A non-positive horizon means no
+	// schedule.
+	schedule        []phase
+	draw            func() phase
+	next            float64 // start of the next period to build
+	period, horizon float64
 
 	// rateOverride, if non-nil, gives a full per-pair rate matrix
 	// (bytes/sec) and takes precedence over Intra/InterRate. Used by the
 	// cross-region WAN setting.
 	rateOverride [][]float64
-
-	// shuffles, if non-empty, is the time-varying fast/slow link
-	// permutation of NewShuffledRates and replaces the machine-placement
-	// rate rule.
-	shuffles []rateShuffle
 }
 
 // Paper-calibrated defaults (see nn zoo comment): intra-machine GPU-to-GPU
@@ -142,23 +153,27 @@ const (
 
 // NewHeterogeneousPeriod builds the multi-tenant-cluster network of Section
 // V-A: cluster placement rates plus a dynamic 2-100x slowdown that moves to
-// a new link every period seconds, up to the given horizon. Deterministic in
-// seed. The paper moves the slow link every 300s ("change the slow link
-// every 5 minutes") against epochs of ~100s; simulations with faster epochs
-// scale the period down to keep the dynamics-per-epoch ratio.
+// a new link every period seconds, up to the given horizon (the last slow
+// link stays in force after it). Deterministic in seed; each period is
+// drawn when a lookup first reaches it. The paper moves the slow link every
+// 300s ("change the slow link every 5 minutes") against epochs of ~100s;
+// simulations with faster epochs scale the period down to keep the
+// dynamics-per-epoch ratio.
 func NewHeterogeneousPeriod(topo *Topology, seed int64, horizon, period float64) *Network {
-	n := &Network{Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate}
 	rng := rand.New(rand.NewSource(seed))
-	for t := 0.0; t < horizon; t += period {
-		a := rng.Intn(topo.M)
-		b := rng.Intn(topo.M - 1)
-		if b >= a {
-			b++
-		}
-		factor := 2 + rng.Float64()*98 // 2x .. 100x
-		n.schedule = append(n.schedule, slowdown{Start: t, A: a, B: b, Factor: factor})
+	return &Network{
+		Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate,
+		period: period, horizon: horizon,
+		draw: func() phase {
+			a := rng.Intn(topo.M)
+			b := rng.Intn(topo.M - 1)
+			if b >= a {
+				b++
+			}
+			factor := 2 + rng.Float64()*98 // 2x .. 100x
+			return phase{A: a, B: b, Factor: factor}
+		},
 	}
-	return n
 }
 
 // NewHomogeneous builds the single-server 10 Gbps virtual-switch network of
@@ -206,8 +221,15 @@ func NewCrossRegion() *Network {
 	return &Network{Topo: topo, rateOverride: rates}
 }
 
-// activeSlowdown returns the slowdown in force at virtual time now, if any.
-func (n *Network) activeSlowdown(now float64) (slowdown, bool) {
+// active returns the schedule period in force at virtual time now, if any,
+// first building every period that starts at or before now.
+func (n *Network) active(now float64) (phase, bool) {
+	for n.next < n.horizon && n.next <= now {
+		e := n.draw()
+		e.Start = n.next
+		n.schedule = append(n.schedule, e)
+		n.next += n.period
+	}
 	lo, hi := 0, len(n.schedule)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -218,7 +240,7 @@ func (n *Network) activeSlowdown(now float64) (slowdown, bool) {
 		}
 	}
 	if lo == 0 {
-		return slowdown{}, false
+		return phase{}, false
 	}
 	return n.schedule[lo-1], true
 }
@@ -232,12 +254,9 @@ func (n *Network) Rate(i, j int, now float64) float64 {
 	if n.rateOverride != nil {
 		return n.rateOverride[i][j]
 	}
-	if s, ok := n.activeShuffle(now); ok {
-		key := [2]int{i, j}
-		if j < i {
-			key = [2]int{j, i}
-		}
-		if s.Fast[key] {
+	e, ok := n.active(now)
+	if ok && e.Fast != nil {
+		if e.Fast[i*n.Topo.M+j] {
 			return n.IntraRate
 		}
 		return n.InterRate
@@ -246,10 +265,8 @@ func (n *Network) Rate(i, j int, now float64) float64 {
 	if n.Topo.Machine[i] == n.Topo.Machine[j] {
 		rate = n.IntraRate
 	}
-	if s, ok := n.activeSlowdown(now); ok {
-		if (s.A == i && s.B == j) || (s.A == j && s.B == i) {
-			rate /= s.Factor
-		}
+	if ok && ((e.A == i && e.B == j) || (e.A == j && e.B == i)) {
+		rate /= e.Factor
 	}
 	return rate
 }
@@ -282,15 +299,9 @@ func (n *Network) IterationTime(i, j int, bytes int64, computeSecs, now float64,
 	return computeSecs + nt
 }
 
-// SlowdownCount returns the number of scheduled slowdown events (testing).
+// SlowdownCount returns the number of dynamic schedule entries built so
+// far (observability, tests).
 func (n *Network) SlowdownCount() int { return len(n.schedule) }
-
-// rateShuffle is one period of the base-rate permutation schedule used by
-// NewShuffledRates: from Start, node pair classes are remapped by Perm.
-type rateShuffle struct {
-	Start float64
-	Fast  map[[2]int]bool // pairs that are fast during this period
-}
 
 // NewShuffledRates builds the Fig. 2 scenario directly: which links are
 // congested changes over time (not merely one slowed link). Each period a
@@ -299,7 +310,6 @@ type rateShuffle struct {
 // intra-machine rate. Static-subgraph methods (SAPS-PSGD) keep using links
 // that were fast at t=0 and degrade; adaptive methods re-measure.
 func NewShuffledRates(topo *Topology, seed int64, horizon, period float64) *Network {
-	n := &Network{Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate / 8}
 	rng := rand.New(rand.NewSource(seed))
 	var pairs [][2]int
 	for i := 0; i < topo.M; i++ {
@@ -307,32 +317,21 @@ func NewShuffledRates(topo *Topology, seed int64, horizon, period float64) *Netw
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	for t := 0.0; t < horizon; t += period {
-		rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
-		fast := make(map[[2]int]bool, len(pairs))
-		for _, p := range pairs[len(pairs)/3:] {
-			fast[p] = true
-		}
-		n.shuffles = append(n.shuffles, rateShuffle{Start: t, Fast: fast})
+	return &Network{
+		Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate / 8,
+		period: period, horizon: horizon,
+		// Each period shuffles the previous period's order again, so
+		// periods must be drawn in start order.
+		draw: func() phase {
+			rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
+			fast := make([]bool, topo.M*topo.M)
+			for _, p := range pairs[len(pairs)/3:] {
+				fast[p[0]*topo.M+p[1]] = true
+				fast[p[1]*topo.M+p[0]] = true
+			}
+			return phase{Fast: fast}
+		},
 	}
-	return n
-}
-
-// activeShuffle returns the rate permutation in force at time now.
-func (n *Network) activeShuffle(now float64) (rateShuffle, bool) {
-	lo, hi := 0, len(n.shuffles)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.shuffles[mid].Start <= now {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return rateShuffle{}, false
-	}
-	return n.shuffles[lo-1], true
 }
 
 // PSRate returns the effective rate between worker i and a parameter server

@@ -115,6 +115,12 @@ func TestFig3Shape(t *testing.T) {
 func TestSlowdownScheduleMovesEveryPeriod(t *testing.T) {
 	topo := PaperCluster(8)
 	net := NewHeterogeneousPeriod(topo, 1, 1800, 300)
+	if got := net.SlowdownCount(); got > 1 {
+		t.Fatalf("fresh network built %d schedule entries, want at most 1", got)
+	}
+	// The schedule is built on demand: a lookup at the horizon builds the
+	// whole of it, and nothing past it.
+	net.Rate(0, 7, 1800)
 	if got := net.SlowdownCount(); got != 6 {
 		t.Fatalf("schedule has %d events for 1800s horizon, want 6", got)
 	}
