@@ -8,13 +8,15 @@
 //	netmax-bench -all -quick
 //	netmax-bench -exp fig12 -curves
 //	netmax-bench -all -quick -par 1 -bench-out BENCH_baseline.json -bench-label baseline
+//	netmax-bench -exp fig6 -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -par pins the host parallelism of the compute core (1 = the serial
 // baseline, 0 = one worker per CPU); results are bitwise identical at any
 // setting, only wall-clock changes. -bench-out records per-experiment
 // wall-clock seconds as JSON so successive PRs can track the perf
 // trajectory (see BENCH_baseline.json at the repo root). Declarative
-// manifests and suites run through cmd/netmax-scenario.
+// manifests and suites run through cmd/netmax-scenario. -cpuprofile and
+// -memprofile write pprof profiles of the run and change no other output.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 
 	"netmax/internal/engine"
 	"netmax/internal/experiments"
+	"netmax/internal/profile"
 	"netmax/internal/tensor"
 	"netmax/internal/trace"
 )
@@ -67,6 +70,8 @@ func main() {
 		benchLab = flag.String("bench-label", "run", "label stored in the -bench-out record")
 		benchCmp = flag.String("bench-compare", "", "baseline -bench-out JSON to compare the recorded timings against; exits 1 on regression")
 		benchTol = flag.Float64("bench-threshold", 1.30, "regression factor for -bench-compare: fail when new/old exceeds this")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	flag.Parse()
 
@@ -77,11 +82,17 @@ func main() {
 	engine.DefaultParallelism = *par
 	tensor.SetParallelism(*par)
 
+	prof, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+
 	if *list {
 		for _, r := range experiments.All() {
 			fmt.Printf("%-10s %s\n", r.ID, r.Title)
 		}
-		return
+		prof.Exit(0)
 	}
 	opt := experiments.Options{Seed: *seed, Quick: *quick}
 	record := &benchRecord{
@@ -165,7 +176,7 @@ func main() {
 		for k, r := range runners {
 			if errs[k] != nil {
 				// Already reported in-stream above.
-				os.Exit(1)
+				prof.Exit(1)
 			}
 			record.Experiments = append(record.Experiments, benchExpRecord{ID: r.ID, Seconds: secs[k]})
 			record.TotalSecs += secs[k]
@@ -174,33 +185,34 @@ func main() {
 		s, err := runOne(*exp, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		record.Experiments = append(record.Experiments, benchExpRecord{ID: *exp, Seconds: s})
 		record.TotalSecs += s
 	default:
 		flag.Usage()
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	if *benchOut != "" {
 		data, err := json.MarshalIndent(record, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		data = append(data, '\n')
 		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		fmt.Printf("benchmark record written to %s (total %.3fs)\n", *benchOut, record.TotalSecs)
 	}
 	if *benchCmp != "" {
 		if err := compareBench(record, *benchCmp, *benchTol, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "bench regression:", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 	}
+	prof.Exit(0)
 }
 
 // compareBench checks the freshly recorded per-experiment timings against a

@@ -11,6 +11,7 @@
 //	netmax-scenario run scenarios/churn-crash-rejoin.json
 //	netmax-scenario run -quick -out runs scenarios/compression-topk25.json
 //	netmax-scenario run -quick -par 2 scenarios/suite-cluster-comparison.json
+//	netmax-scenario run -quick -cpuprofile cpu.pprof -memprofile mem.pprof scenarios/straggler-resnet18-5x.json
 //
 // Every run writes its fully-resolved manifest (every default made
 // explicit) next to its results — <out>/<name>/resolved.json — so any
@@ -31,13 +32,14 @@ import (
 	"strings"
 
 	"netmax/internal/engine"
+	"netmax/internal/profile"
 	"netmax/internal/scenario"
 	"netmax/internal/tensor"
 )
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  netmax-scenario run [-quick] [-out dir] [-par n] <manifest-or-suite.json>...
+  netmax-scenario run [-quick] [-out dir] [-par n] [-cpuprofile f] [-memprofile f] <manifest-or-suite.json>...
   netmax-scenario validate <file|dir|dir/...>...
   netmax-scenario list <file|dir|dir/...>...
 `)
@@ -99,6 +101,8 @@ func runCmd(args []string) {
 	quick := fl.Bool("quick", false, "apply the manifest's quick overrides (smoke scale)")
 	out := fl.String("out", "runs", "directory for per-scenario outputs (resolved.json, result.json, curve.csv); empty disables file output")
 	par := fl.Int("par", 0, "host parallelism: 0 = NumCPU, 1 = serial; results are identical either way")
+	cpuProf := fl.String("cpuprofile", "", "write a CPU profile of the runs to this file")
+	memProf := fl.String("memprofile", "", "write a heap profile after the last run to this file")
 	fl.Parse(args)
 	if fl.NArg() == 0 {
 		usage()
@@ -113,29 +117,34 @@ func runCmd(args []string) {
 	// are identical at any -par.
 	tensor.SetParallelism(*par)
 	engine.DefaultParallelism = *par
-	paths, err := expand(fl.Args())
+	prof, err := profile.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
+	}
+	paths, err := expand(fl.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		prof.Exit(1)
 	}
 	for _, path := range paths {
 		m, s, err := scenario.LoadAny(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		if s != nil {
 			rep, err := scenario.RunSuite(s, scenario.SuiteRunOptions{Quick: *quick, OutDir: *out, Par: *par})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
+				prof.Exit(1)
 			}
 			for _, r := range rep.Reports {
 				fmt.Println(r.Summary())
 			}
 			if err := rep.Table.WriteTable(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
+				prof.Exit(1)
 			}
 			if rep.Dir != "" {
 				fmt.Printf("  outputs: %s (resolved run list + joint table + per-run results)\n", rep.Dir)
@@ -145,13 +154,14 @@ func runCmd(args []string) {
 		rep, err := scenario.Run(m, scenario.RunOptions{Quick: *quick, OutDir: *out})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		fmt.Println(rep.Summary())
 		if rep.Dir != "" {
 			fmt.Printf("  outputs: %s (resolved manifest + results)\n", rep.Dir)
 		}
 	}
+	prof.Exit(0)
 }
 
 func validateCmd(args []string) {

@@ -1,11 +1,70 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// jacobiEigenvalues is the test oracle: every eigenvalue of a symmetric
+// matrix by cyclic Jacobi rotations, sorted in descending order. It is slow
+// (a full decomposition, O(N³) per sweep) but has no failure mode the
+// bisection solver shares: no reduction to tridiagonal form and no Sturm
+// count.
+func jacobiEigenvalues(m *Matrix) []float64 {
+	n := m.N
+	a := &Matrix{N: n, Data: append([]float64(nil), m.Data...)}
+	const maxSweeps = 100
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		off := 0.0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				off += a.At(i, j) * a.At(i, j)
+			}
+		}
+		if off < 1e-24 {
+			break
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := a.At(p, q)
+				if math.Abs(apq) < 1e-18 {
+					continue
+				}
+				app, aqq := a.At(p, p), a.At(q, q)
+				theta := (aqq - app) / (2 * apq)
+				var t float64
+				if theta >= 0 {
+					t = 1 / (theta + math.Sqrt(theta*theta+1))
+				} else {
+					t = -1 / (-theta + math.Sqrt(theta*theta+1))
+				}
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				// Apply the rotation G(p,q,θ)ᵀ A G(p,q,θ).
+				for k := 0; k < n; k++ {
+					akp, akq := a.At(k, p), a.At(k, q)
+					a.Set(k, p, c*akp-s*akq)
+					a.Set(k, q, s*akp+c*akq)
+				}
+				for k := 0; k < n; k++ {
+					apk, aqk := a.At(p, k), a.At(q, k)
+					a.Set(p, k, c*apk-s*aqk)
+					a.Set(q, k, s*apk+c*aqk)
+				}
+			}
+		}
+	}
+	eig := make([]float64, n)
+	for i := 0; i < n; i++ {
+		eig[i] = a.At(i, i)
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
+	return eig
+}
 
 func TestEigenvaluesDiagonal(t *testing.T) {
 	m := NewMatrix(3)
@@ -85,6 +144,19 @@ func TestEigenNonSymmetricRejected(t *testing.T) {
 	m.Set(0, 1, 1)
 	if _, err := SymmetricEigenvalues(m); err == nil {
 		t.Fatal("expected error for non-symmetric input")
+	}
+}
+
+func TestEigenNonFiniteRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := NewMatrix(3)
+		m.Set(1, 1, v)
+		if _, err := SecondLargestEigenvalue(m); err == nil {
+			t.Fatalf("λ₂ of a matrix holding %v: expected an error", v)
+		}
+		if _, err := SymmetricEigenvalues(m); err == nil {
+			t.Fatalf("spectrum of a matrix holding %v: expected an error", v)
+		}
 	}
 }
 
@@ -175,18 +247,6 @@ func TestIsDoublyStochasticRejectsNegative(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	m := NewMatrix(2)
-	m.Set(0, 0, 1)
-	m.Set(0, 1, 2)
-	m.Set(1, 0, 3)
-	m.Set(1, 1, 4)
-	got := m.MatVec([]float64{1, 1})
-	if got[0] != 3 || got[1] != 7 {
-		t.Fatalf("MatVec = %v", got)
-	}
-}
-
 func TestStochasticMatrixTopEigenvalueIsOne(t *testing.T) {
 	// Property: a random symmetric doubly stochastic matrix (built by mixing
 	// permutation-free Birkhoff-like terms) has λ1 == 1.
@@ -226,5 +286,178 @@ func TestStochasticMatrixTopEigenvalueIsOne(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The matrix families the differential checks draw from. The last three
+// have repeated eigenvalues, which bisection must still resolve.
+const (
+	familySymmetric    = iota // i.i.d. normal entries
+	familyPermutations        // symmetric doubly stochastic: a mix of (Pσ+Pσᵀ)/2
+	familyMetropolis          // Metropolis weights on a random graph
+	familyIdentity            // every eigenvalue 1
+	familyBlocks              // two disconnected gossip blocks: λ₁ = λ₂ = 1
+	familyGossip              // (1−a)I + a·11ᵀ/N: λ₂ = 1−a, multiplicity N−1
+	numFamilies
+)
+
+// differentialMatrix builds an n x n symmetric matrix of the given family
+// from seed.
+func differentialMatrix(seed int64, n, family int) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewMatrix(n)
+	switch family {
+	case familySymmetric:
+		return randomSymmetric(rng, n)
+	case familyPermutations:
+		k := 1 + rng.Intn(4)
+		ws := make([]float64, k)
+		total := 0.0
+		for i := range ws {
+			ws[i] = rng.Float64() + 1e-3
+			total += ws[i]
+		}
+		for _, w := range ws {
+			perm := rng.Perm(n)
+			for i, j := range perm {
+				m.Data[i*n+j] += w / total / 2
+				m.Data[j*n+i] += w / total / 2
+			}
+		}
+	case familyMetropolis:
+		deg := make([]int, n)
+		adj := make([]bool, n*n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if j == i+1 || rng.Float64() < 0.3 {
+					adj[i*n+j], adj[j*n+i] = true, true
+					deg[i]++
+					deg[j]++
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			diag := 1.0
+			for j := 0; j < n; j++ {
+				if adj[i*n+j] {
+					w := 1 / float64(1+max(deg[i], deg[j]))
+					m.Set(i, j, w)
+					diag -= w
+				}
+			}
+			m.Set(i, i, diag)
+		}
+	case familyIdentity:
+		for i := 0; i < n; i++ {
+			m.Set(i, i, 1)
+		}
+	case familyBlocks:
+		cut := 1 + rng.Intn(n-1)
+		for i := 0; i < n; i++ {
+			lo, hi := 0, cut
+			if i >= cut {
+				lo, hi = cut, n
+			}
+			for j := lo; j < hi; j++ {
+				m.Set(i, j, 1/float64(hi-lo))
+			}
+		}
+	case familyGossip:
+		a := rng.Float64()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				v := a / float64(n)
+				if i == j {
+					v += 1 - a
+				}
+				m.Set(i, j, v)
+			}
+		}
+	}
+	return m
+}
+
+// checkLambda2 compares the bisection λ₂ with the Jacobi oracle's, within
+// 1e-12 of the spectral radius (so eigenvalues near zero are not held to a
+// tighter bound than the decomposition's backward error supports). It
+// also checks the full bisection spectrum against the oracle's.
+func checkLambda2(m *Matrix, w *Eigen) error {
+	want := jacobiEigenvalues(m)
+	scale := max(math.Abs(want[0]), math.Abs(want[len(want)-1]), 1e-300)
+	got, err := w.SecondLargest(m)
+	if err != nil {
+		return err
+	}
+	if math.Abs(got-want[1]) > 1e-12*scale {
+		return fmt.Errorf("N=%d: λ₂ = %.17g, Jacobi %.17g (rel %.3g)", m.N, got, want[1], math.Abs(got-want[1])/scale)
+	}
+	all, err := SymmetricEigenvalues(m)
+	if err != nil {
+		return err
+	}
+	for i := range all {
+		if math.Abs(all[i]-want[i]) > 1e-12*scale {
+			return fmt.Errorf("N=%d: λ%d = %.17g, Jacobi %.17g", m.N, i+1, all[i], want[i])
+		}
+	}
+	return nil
+}
+
+func TestLambda2MatchesJacobi(t *testing.T) {
+	var w Eigen // one workspace across sizes: reuse must not leak state
+	f := func(seed int64, nb, fb uint8) bool {
+		n := 2 + int(nb)%39
+		m := differentialMatrix(seed, n, int(fb)%numFamilies)
+		if err := checkLambda2(m, &w); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestLambda2RepeatedEigenvalues(t *testing.T) {
+	for _, n := range []int{2, 3, 16, 40} {
+		for _, fam := range []int{familyIdentity, familyBlocks, familyGossip} {
+			m := differentialMatrix(int64(n), n, fam)
+			l2, err := SecondLargestEigenvalue(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := jacobiEigenvalues(m)[1]
+			if math.Abs(l2-want) > 1e-12 {
+				t.Fatalf("N=%d family %d: λ₂ = %v, want %v", n, fam, l2, want)
+			}
+		}
+	}
+}
+
+// FuzzLambda2MatchesJacobi's seed corpus (one file per family, N from 2
+// to 40) is under testdata/fuzz/FuzzLambda2MatchesJacobi.
+func FuzzLambda2MatchesJacobi(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, nb, fb uint8) {
+		n := 2 + int(nb)%39
+		var w Eigen
+		if err := checkLambda2(differentialMatrix(seed, n, int(fb)%numFamilies), &w); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func BenchmarkSecondLargest(b *testing.B) {
+	for _, n := range []int{8, 16, 32} {
+		m := differentialMatrix(1, n, familyMetropolis)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			var w Eigen
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.SecondLargest(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

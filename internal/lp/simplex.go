@@ -44,8 +44,25 @@ var ErrUnbounded = errors.New("lp: unbounded")
 // silently dropped from the solution.
 const eps = 1e-9
 
-// Solve returns an optimal x and the objective value cᵀx.
-func Solve(p *Problem) ([]float64, float64, error) {
+// Solver solves linear programs, reusing one workspace (tableau, basis,
+// cost rows and result) across calls, so a caller that solves many small
+// problems allocates only for a problem larger than every earlier one.
+// The zero value is ready to use. A Solver is not safe for concurrent use.
+type Solver struct {
+	rows   [][]float64 // tableau rows, views into cells
+	cells  []float64
+	basis  []int
+	c      []float64 // normalized objective over the standard-form columns
+	phase  []float64 // the current phase's objective over all tableau columns
+	lower  []float64 // zero lower bounds for a Problem without Lower
+	y, x   []float64 // standard-form and original-variable solutions
+	nCols  int       // standard-form columns: originals + inequality slacks
+	nTotal int       // tableau columns before the rhs: nCols + artificials
+}
+
+// Solve returns an optimal x and the objective value cᵀx. x is the
+// Solver's own buffer: it stays valid only until the next call.
+func (s *Solver) Solve(p *Problem) ([]float64, float64, error) {
 	n := len(p.C)
 	if n == 0 {
 		return nil, 0, errors.New("lp: empty problem")
@@ -67,44 +84,45 @@ func Solve(p *Problem) ([]float64, float64, error) {
 	// Shift lower bounds: x = y + lower, y >= 0.
 	lower := p.Lower
 	if lower == nil {
-		lower = make([]float64, n)
+		s.lower = zeroed(s.lower, n)
+		lower = s.lower
 	} else if len(lower) != n {
 		return nil, 0, errors.New("lp: Lower length mismatch")
 	}
 
 	mEq, mUb := len(p.Aeq), len(p.Aub)
 	m := mEq + mUb
-	// Standard form: A y (+ slack) = b, y >= 0. Columns: n original + mUb slacks.
+	// Standard form: A y (+ slack) = b, y >= 0. Columns: n original + mUb
+	// slacks, then one phase-1 artificial per row, then the rhs.
 	cols := n + mUb
-	a := make([][]float64, m)
-	b := make([]float64, m)
+	s.layout(m, cols)
+	rhs := s.nTotal
 	for i := 0; i < mEq; i++ {
-		a[i] = make([]float64, cols)
-		copy(a[i], p.Aeq[i])
-		b[i] = p.Beq[i]
+		r := s.rows[i]
+		copy(r, p.Aeq[i])
+		r[rhs] = p.Beq[i]
 		for j := 0; j < n; j++ {
-			b[i] -= p.Aeq[i][j] * lower[j]
+			r[rhs] -= p.Aeq[i][j] * lower[j]
 		}
 	}
 	for i := 0; i < mUb; i++ {
-		r := mEq + i
-		a[r] = make([]float64, cols)
-		copy(a[r], p.Aub[i])
-		a[r][n+i] = 1 // slack
-		b[r] = p.Bub[i]
+		r := s.rows[mEq+i]
+		copy(r, p.Aub[i])
+		r[n+i] = 1 // slack
+		r[rhs] = p.Bub[i]
 		for j := 0; j < n; j++ {
-			b[r] -= p.Aub[i][j] * lower[j]
+			r[rhs] -= p.Aub[i][j] * lower[j]
 		}
 	}
 	// Make all b >= 0 by row negation (flips slack signs too, which is fine:
 	// the slack then acts as a surplus variable and phase 1 restores
 	// feasibility with an artificial).
-	for i := range a {
-		if b[i] < 0 {
-			for j := range a[i] {
-				a[i][j] = -a[i][j]
+	for _, r := range s.rows {
+		if r[rhs] < 0 {
+			for j := 0; j < cols; j++ {
+				r[j] = -r[j]
 			}
-			b[i] = -b[i]
+			r[rhs] = -r[rhs]
 		}
 	}
 	// Row equilibration: divide each row's original-variable coefficients
@@ -116,22 +134,22 @@ func Solve(p *Problem) ([]float64, float64, error) {
 	// locking the slack out of the basis and silently forcing the
 	// constraint binding. Leaving the coefficient alone just rescales the
 	// slack variable (slack' = slack/s ≥ 0), which is equally exact.
-	for i := range a {
-		s := 0.0
+	for _, r := range s.rows {
+		sc := 0.0
 		for j := 0; j < n; j++ {
-			if v := math.Abs(a[i][j]); v > s {
-				s = v
+			if v := math.Abs(r[j]); v > sc {
+				sc = v
 			}
 		}
-		if s > 0 && s != 1 {
+		if sc > 0 && sc != 1 {
 			for j := 0; j < n; j++ {
-				a[i][j] /= s
+				r[j] /= sc
 			}
-			b[i] /= s
+			r[rhs] /= sc
 		}
 	}
 
-	c := make([]float64, cols)
+	c := s.c
 	copy(c, p.C)
 	// Objective normalization: argmin is invariant under positive scaling,
 	// and a unit-magnitude objective keeps the reduced-cost tolerance
@@ -148,11 +166,12 @@ func Solve(p *Problem) ([]float64, float64, error) {
 		}
 	}
 
-	y, err := twoPhase(a, b, c)
+	y, err := s.twoPhase()
 	if err != nil {
 		return nil, 0, err
 	}
-	x := make([]float64, n)
+	s.x = grow(s.x, n)
+	x := s.x
 	obj := 0.0
 	for j := 0; j < n; j++ {
 		x[j] = y[j] + lower[j]
@@ -161,72 +180,80 @@ func Solve(p *Problem) ([]float64, float64, error) {
 	return x, obj, nil
 }
 
-// twoPhase solves min cᵀy s.t. Ay=b, y>=0, b>=0 via phase-1 artificials.
-func twoPhase(a [][]float64, b, c []float64) ([]float64, error) {
-	m := len(a)
-	if m == 0 {
+// layout sizes the workspace for m rows and cols standard-form columns and
+// zeroes it: each row is cols coefficients, m artificials (the row's own
+// set to 1 and basic) and the rhs.
+func (s *Solver) layout(m, cols int) {
+	s.nCols, s.nTotal = cols, cols+m
+	width := s.nTotal + 1
+	s.cells = zeroed(s.cells, m*width)
+	if cap(s.rows) < m {
+		s.rows = make([][]float64, m)
+	}
+	s.rows = s.rows[:m]
+	s.basis = growInts(s.basis, m)
+	for i := range s.rows {
+		s.rows[i] = s.cells[i*width : (i+1)*width : (i+1)*width]
+		s.rows[i][cols+i] = 1
+		s.basis[i] = cols + i
+	}
+	s.c = zeroed(s.c, cols)
+	s.phase = grow(s.phase, s.nTotal)
+	s.y = grow(s.y, cols)
+}
+
+// twoPhase solves min cᵀy s.t. Ay=b, y>=0, b>=0 via phase-1 artificials,
+// on the tableau layout has set up.
+func (s *Solver) twoPhase() ([]float64, error) {
+	n, total, t := s.nCols, s.nTotal, s.rows
+	if len(t) == 0 {
 		// No constraints: the minimum is at y=0 unless some cost is
 		// negative, in which case the problem is unbounded below.
-		for _, cj := range c {
+		for _, cj := range s.c {
 			if cj < -eps {
 				return nil, ErrUnbounded
 			}
 		}
-		return make([]float64, len(c)), nil
-	}
-	n := len(a[0])
-
-	// Tableau with artificial variables appended: columns n..n+m-1.
-	total := n + m
-	t := make([][]float64, m)
-	basis := make([]int, m)
-	for i := 0; i < m; i++ {
-		t[i] = make([]float64, total+1)
-		copy(t[i], a[i])
-		t[i][n+i] = 1
-		t[i][total] = b[i]
-		basis[i] = n + i
+		return zeroed(s.y, n), nil
 	}
 
 	// Phase 1: minimize sum of artificials.
-	phase1 := make([]float64, total)
-	for j := n; j < total; j++ {
-		phase1[j] = 1
+	phase1 := s.phase
+	for j := range phase1 {
+		phase1[j] = 0
+		if j >= n {
+			phase1[j] = 1
+		}
 	}
-	if obj := simplexIterate(t, basis, phase1, total); obj > eps {
+	if obj := simplexIterate(t, s.basis, phase1, total); obj > eps {
 		return nil, ErrInfeasible
 	}
-	// Drive remaining artificials out of the basis where possible.
-	for i, bj := range basis {
+	// Drive remaining artificials out of the basis where possible. A row
+	// with no usable pivot is redundant; its artificial stays basic at 0.
+	for i, bj := range s.basis {
 		if bj >= n {
-			pivoted := false
 			for j := 0; j < n; j++ {
 				if math.Abs(t[i][j]) > eps {
-					pivot(t, basis, i, j, total)
-					pivoted = true
+					pivot(t, s.basis, i, j, total)
 					break
 				}
-			}
-			if !pivoted {
-				// Redundant row; harmless to leave (artificial stays at 0).
-				_ = pivoted
 			}
 		}
 	}
 
 	// Phase 2: original objective; artificial columns are forbidden by
 	// giving them a huge cost (they are at value 0 and stay there).
-	phase2 := make([]float64, total)
-	copy(phase2, c)
+	phase2 := s.phase
+	copy(phase2, s.c)
 	for j := n; j < total; j++ {
 		phase2[j] = 1e18
 	}
-	obj := simplexIterate(t, basis, phase2, total)
+	obj := simplexIterate(t, s.basis, phase2, total)
 	if math.IsInf(obj, -1) {
 		return nil, ErrUnbounded
 	}
-	y := make([]float64, n)
-	for i, bj := range basis {
+	y := zeroed(s.y, n)
+	for i, bj := range s.basis {
 		if bj < n {
 			y[bj] = t[i][total]
 		}
@@ -303,4 +330,24 @@ func pivot(t [][]float64, basis []int, row, col, rhsCol int) {
 		}
 	}
 	basis[row] = col
+}
+
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+func zeroed(s []float64, n int) []float64 {
+	s = grow(s, n)
+	clear(s)
+	return s
+}
+
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }

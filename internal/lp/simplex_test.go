@@ -14,7 +14,7 @@ func TestSimpleInequality(t *testing.T) {
 		Aub: [][]float64{{1, 1}, {1, 0}},
 		Bub: []float64{4, 2},
 	}
-	x, obj, err := Solve(p)
+	x, obj, err := new(Solver).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestEqualityConstraint(t *testing.T) {
 		Aeq: [][]float64{{1, 1}},
 		Beq: []float64{1},
 	}
-	x, obj, err := Solve(p)
+	x, obj, err := new(Solver).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestLowerBounds(t *testing.T) {
 		Beq:   []float64{1},
 		Lower: []float64{0.3, 0.2},
 	}
-	x, obj, err := Solve(p)
+	x, obj, err := new(Solver).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestInfeasible(t *testing.T) {
 		Aub: [][]float64{{1}},
 		Bub: []float64{1},
 	}
-	if _, _, err := Solve(p); err != ErrInfeasible {
+	if _, _, err := new(Solver).Solve(p); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -82,7 +82,7 @@ func TestInfeasibleLowerBoundsVsSum(t *testing.T) {
 		Beq:   []float64{1},
 		Lower: []float64{0.6, 0.6},
 	}
-	if _, _, err := Solve(p); err != ErrInfeasible {
+	if _, _, err := new(Solver).Solve(p); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -90,7 +90,7 @@ func TestInfeasibleLowerBoundsVsSum(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	// min -x with no upper constraints.
 	p := &Problem{C: []float64{-1}}
-	if _, _, err := Solve(p); err != ErrUnbounded {
+	if _, _, err := new(Solver).Solve(p); err != ErrUnbounded {
 		t.Fatalf("err = %v, want ErrUnbounded", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestNegativeRHS(t *testing.T) {
 		Aub: [][]float64{{-1}},
 		Bub: []float64{-2},
 	}
-	x, _, err := Solve(p)
+	x, _, err := new(Solver).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDegenerateTies(t *testing.T) {
 		Aub: [][]float64{{0.25, -60, -0.04, 9}, {0.5, -90, -0.02, 3}, {0, 0, 1, 0}},
 		Bub: []float64{0, 0, 1},
 	}
-	x, obj, err := Solve(p)
+	x, obj, err := new(Solver).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPolicyRowShapeLP(t *testing.T) {
 		Beq:   []float64{T, 1},
 		Lower: []float64{floor, floor, floor, 0},
 	}
-	x, _, err := Solve(p)
+	x, _, err := new(Solver).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestScaleInvariance(t *testing.T) {
 			Beq:   []float64{1.5 * s, 1},
 			Lower: []float64{floor, floor, floor, 0},
 		}
-		x, _, err := Solve(p)
+		x, _, err := new(Solver).Solve(p)
 		if err != nil {
 			t.Fatalf("scale %g: %v", s, err)
 		}
@@ -220,7 +220,7 @@ func TestScaleInvarianceInequality(t *testing.T) {
 			Bub:   []float64{10 * s},
 			Lower: []float64{1},
 		}
-		x, _, err := Solve(p)
+		x, _, err := new(Solver).Solve(p)
 		if err != nil {
 			t.Fatalf("scale %g: %v", s, err)
 		}
@@ -271,7 +271,7 @@ func TestRandomFeasibilityProperty(t *testing.T) {
 		aub = append(aub, ones)
 		bub = append(bub, 100)
 
-		x, _, err := Solve(&Problem{C: c, Aeq: [][]float64{aeq}, Beq: []float64{beq}, Aub: aub, Bub: bub})
+		x, _, err := new(Solver).Solve(&Problem{C: c, Aeq: [][]float64{aeq}, Beq: []float64{beq}, Aub: aub, Bub: bub})
 		if err != nil {
 			return false
 		}
@@ -310,7 +310,7 @@ func TestOptimalityAgainstVertexEnumeration2D(t *testing.T) {
 		Beq:   []float64{1},
 		Lower: []float64{0.1, 0.1},
 	}
-	x, obj, err := Solve(p)
+	x, obj, err := new(Solver).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +321,57 @@ func TestOptimalityAgainstVertexEnumeration2D(t *testing.T) {
 		}
 		if v := 3*a - b; v < obj-1e-6 {
 			t.Fatalf("grid point (%v,%v) obj %v beats solver %v (x=%v)", a, b, v, obj, x)
+		}
+	}
+}
+
+// randomProblem draws a small LP of random shape: 1–5 variables, up to two
+// equalities and three inequalities, with or without lower bounds. Some
+// draws are infeasible or unbounded, which exercises the error paths.
+func randomProblem(rng *rand.Rand) *Problem {
+	n := 1 + rng.Intn(5)
+	vec := func() []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	p := &Problem{C: vec()}
+	for k := rng.Intn(3); k > 0; k-- {
+		p.Aeq = append(p.Aeq, vec())
+		p.Beq = append(p.Beq, rng.NormFloat64())
+	}
+	for k := rng.Intn(4); k > 0; k-- {
+		p.Aub = append(p.Aub, vec())
+		p.Bub = append(p.Bub, rng.NormFloat64()+1)
+	}
+	if rng.Intn(2) == 0 {
+		p.Lower = make([]float64, n)
+		for i := range p.Lower {
+			p.Lower[i] = rng.Float64() * 0.1
+		}
+	}
+	return p
+}
+
+// TestSolverReuseMatchesFresh checks that a Solver's workspace carries no
+// state between calls: one Solver run over a stream of differently shaped
+// problems returns, bit for bit, what a fresh Solver returns for each.
+func TestSolverReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var reused Solver
+	for k := 0; k < 500; k++ {
+		p := randomProblem(rng)
+		x, obj, err := reused.Solve(p)
+		wx, wobj, werr := new(Solver).Solve(p)
+		if err != werr || obj != wobj || len(x) != len(wx) {
+			t.Fatalf("problem %d: reused (%v, %v, %v), fresh (%v, %v, %v)", k, x, obj, err, wx, wobj, werr)
+		}
+		for i := range x {
+			if x[i] != wx[i] {
+				t.Fatalf("problem %d: reused x = %v, fresh %v", k, x, wx)
+			}
 		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 // weight instead of αργ.
 func BuildYAveraging(p [][]float64, times [][]float64, adj [][]bool) *linalg.Matrix {
 	pg := GlobalStepProbs(AvgIterTimes(p, times, adj))
-	return buildYWeighted(p, adj, func(i, j int) float64 { return 0.5 }, pg)
+	y := linalg.NewMatrix(len(p))
+	buildYWeighted(y, p, adj, func(i, j int) float64 { return 0.5 }, pg)
+	return y
 }
 
 func TestAveragingBlendPolicyFeasible(t *testing.T) {

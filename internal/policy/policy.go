@@ -147,13 +147,15 @@ func GlobalStepProbs(avgIterTimes []float64) []float64 {
 // derived from the measured iteration times.
 func BuildY(p [][]float64, times [][]float64, adj [][]bool, alpha, rho float64) *linalg.Matrix {
 	pg := GlobalStepProbs(AvgIterTimes(p, times, adj))
-	return buildYWithProbs(p, adj, alpha, rho, pg)
+	y := linalg.NewMatrix(len(p))
+	buildYWithProbs(y, p, adj, alpha, rho, pg)
+	return y
 }
 
-// buildYWithProbs is Eq. (22) with explicit global-step probabilities.
-// γ_{i,m} = (d_im+d_mi)/(2 p_im); terms with p_im = 0 contribute nothing
-// (the selection event has probability zero).
-func buildYWithProbs(p [][]float64, adj [][]bool, alpha, rho float64, pg []float64) *linalg.Matrix {
+// buildYWithProbs writes Eq. (22) with explicit global-step probabilities
+// into y. γ_{i,m} = (d_im+d_mi)/(2 p_im); terms with p_im = 0 contribute
+// nothing (the selection event has probability zero).
+func buildYWithProbs(y *linalg.Matrix, p [][]float64, adj [][]bool, alpha, rho float64, pg []float64) {
 	ar := alpha * rho
 	gamma := func(i, j int) float64 {
 		d := 0.0
@@ -165,17 +167,16 @@ func buildYWithProbs(p [][]float64, adj [][]bool, alpha, rho float64, pg []float
 		}
 		return d / (2 * p[i][j])
 	}
-	return buildYWeighted(p, adj, func(i, j int) float64 { return ar * gamma(i, j) }, pg)
+	buildYWeighted(y, p, adj, func(i, j int) float64 { return ar * gamma(i, j) }, pg)
 }
 
-// buildYWeighted evaluates E[(D^k)ᵀD^k] for the generic update
-// D^k = I + w(i,m)·e_i(e_m-e_i)ᵀ: with w = αργ this is Eq. (22); with
-// w = 1/2 it is the averaging extension. In terms of w the entries are
-// y_im = Σ_{sides} pg·p·(w - w²) and
+// buildYWeighted writes E[(D^k)ᵀD^k] for the generic update
+// D^k = I + w(i,m)·e_i(e_m-e_i)ᵀ into y, overwriting every entry: with
+// w = αργ this is Eq. (22); with w = 1/2 it is the averaging extension. In
+// terms of w the entries are y_im = Σ_{sides} pg·p·(w - w²) and
 // y_ii = 1 - 2 Σ_m pg_i p_im w_im + Σ_m Σ_{sides} pg·p·w².
-func buildYWeighted(p [][]float64, adj [][]bool, w func(i, j int) float64, pg []float64) *linalg.Matrix {
+func buildYWeighted(y *linalg.Matrix, p [][]float64, adj [][]bool, w func(i, j int) float64, pg []float64) {
 	m := len(p)
-	y := linalg.NewMatrix(m)
 	for i := 0; i < m; i++ {
 		diag := 1.0
 		for j := 0; j < m; j++ {
@@ -200,7 +201,6 @@ func buildYWeighted(p [][]float64, adj [][]bool, w func(i, j int) float64, pg []
 		}
 		y.Set(i, i, diag)
 	}
-	return y
 }
 
 // FeasibleRhoInterval returns (Lρ, Uρ] = (0, 0.5/α] per Appendix A.
@@ -242,61 +242,113 @@ func FeasibleTimeInterval(times [][]float64, adj [][]bool, alpha, rho float64) (
 	return lo, hi, nil
 }
 
-// solveRows solves the Eq. (14) LP independently for every worker row given
-// (ρ, t̄): minimize p_ii subject to Σ_m t_im p_im = M·t̄,
-// p_im ≥ αρ(d_im+d_mi) for neighbors (or a tiny positivity floor when
-// averaging=true, per Section III-D), probabilities sum to 1.
-func solveRows(times [][]float64, adj [][]bool, alpha, rho, tbar float64, averaging bool) ([][]float64, error) {
-	m := len(times)
-	p := make([][]float64, m)
-	floorEps := 1e-9 // Eq. (11) is strict; keep entries strictly above floor
-	for i := 0; i < m; i++ {
+// search is the workspace of one Generate call. The per-row LP invariants
+// (neighbor list, cost, time and ones rows) are built once; the LP solver,
+// the candidate and best P, Y and the eigen-solver's buffers are reused by
+// every (ρ, t̄) candidate of the K×R grid.
+type search struct {
+	in    Input
+	eps   float64
+	rows  []rowLP
+	lp    lp.Solver
+	pg    []float64 // Eq. (3) for a feasible P: every t_i = M·t̄, so p_i = 1/M
+	y     *linalg.Matrix
+	eig   linalg.Eigen
+	p     [][]float64 // the candidate being scored; swapped with best.P when it wins
+	best  Policy      // the best candidate so far, once found
+	found bool        // whether any candidate was feasible
+}
+
+// rowLP is worker i's Eq. (14) LP. Variables: p_i,nbrs[0..n-1], then p_ii.
+type rowLP struct {
+	nbrs []int
+	prob lp.Problem
+}
+
+func newSearch(in Input, eps float64) *search {
+	m := len(in.Times)
+	s := &search{in: in, eps: eps, rows: make([]rowLP, m), pg: make([]float64, m), y: linalg.NewMatrix(m)}
+	s.p, s.best.P = newRows(m), newRows(m)
+	for i := range s.pg {
+		s.pg[i] = 1 / float64(m)
+	}
+	for i := range s.rows {
 		var nbrs []int
 		for j := 0; j < m; j++ {
-			if i != j && adj[i][j] {
+			if i != j && in.Adj[i][j] {
 				nbrs = append(nbrs, j)
 			}
 		}
 		n := len(nbrs)
 		if n == 0 {
-			row := make([]float64, m)
-			row[i] = 1
-			p[i] = row
+			s.p[i][i], s.best.P[i][i] = 1, 1
 			continue
 		}
-		// Variables: p_i,nbrs[0..n-1], then p_ii.
 		c := make([]float64, n+1)
 		c[n] = 1
 		timeRow := make([]float64, n+1)
 		oneRow := make([]float64, n+1)
-		lower := make([]float64, n+1)
 		for k, j := range nbrs {
-			timeRow[k] = times[i][j]
+			timeRow[k] = in.Times[i][j]
 			oneRow[k] = 1
-			if averaging {
-				lower[k] = 1e-4 // Section III-D: only positivity is needed
-			} else {
-				lower[k] = 2*alpha*rho + floorEps
-			}
 		}
 		oneRow[n] = 1
-		x, _, err := lp.Solve(&lp.Problem{
+		s.rows[i] = rowLP{nbrs: nbrs, prob: lp.Problem{
 			C:     c,
 			Aeq:   [][]float64{timeRow, oneRow},
-			Beq:   []float64{float64(m) * tbar, 1},
-			Lower: lower,
-		})
-		if err != nil {
-			return nil, err
+			Beq:   []float64{0, 1},
+			Lower: make([]float64, n+1),
+		}}
+	}
+	return s
+}
+
+func newRows(m int) [][]float64 {
+	p := make([][]float64, m)
+	for i := range p {
+		p[i] = make([]float64, m)
+	}
+	return p
+}
+
+// setFloors sets every row LP's lower bounds for ρ: p_im ≥ 2αρ (strictly,
+// per Eq. 11) for neighbors, or a tiny positivity floor in averaging mode
+// (Section III-D); p_ii ≥ 0.
+func (s *search) setFloors(rho float64) {
+	floorEps := 1e-9 // Eq. (11) is strict; keep entries strictly above floor
+	for _, r := range s.rows {
+		lower := r.prob.Lower
+		for k := range r.nbrs {
+			if s.in.AveragingBlend {
+				lower[k] = 1e-4 // Section III-D: only positivity is needed
+			} else {
+				lower[k] = 2*s.in.Alpha*rho + floorEps
+			}
 		}
-		row := make([]float64, m)
-		for k, j := range nbrs {
+	}
+}
+
+// solveRows solves the Eq. (14) LP independently for every worker row given
+// t̄ (ρ enters through setFloors) into s.p: minimize p_ii subject to
+// Σ_m t_im p_im = M·t̄, the floors, and probabilities summing to 1.
+func (s *search) solveRows(tbar float64) error {
+	m := len(s.rows)
+	for i, r := range s.rows {
+		if len(r.nbrs) == 0 {
+			continue // isolated: s.p[i][i] = 1 from newSearch
+		}
+		r.prob.Beq[0] = float64(m) * tbar
+		x, _, err := s.lp.Solve(&r.prob)
+		if err != nil {
+			return err
+		}
+		row := s.p[i]
+		for k, j := range r.nbrs {
 			row[j] = x[k]
 		}
-		row[i] = x[n]
-		p[i] = row
+		row[i] = x[len(r.nbrs)]
 	}
-	return p, nil
+	return nil
 }
 
 // Generate runs Algorithm 3 and returns the best feasible policy. When no
@@ -329,6 +381,7 @@ func Generate(in Input) (*Policy, error) {
 			ur = cap
 		}
 	}
+	s := newSearch(in, eps)
 	// Log-spaced grid over (0, ur]: under extreme heterogeneity (one link
 	// slowed 100x) the feasible ρ range collapses toward zero, and a
 	// uniform grid like the paper's pseudo-code would need a very large K
@@ -337,36 +390,33 @@ func Generate(in Input) (*Policy, error) {
 	if in.AveragingBlend {
 		// Section III-D: the blend weight is fixed at 1/2, so ρ plays no
 		// role in the update and a single inner search suffices.
-		best, err := innerLoop(in, 0, r, eps)
-		if err != nil {
+		if err := s.innerLoop(0, r); err != nil {
 			return nil, err
 		}
-		return best, nil
-	}
-	const span = 1000.0
-	var best *Policy
-	for ki := 0; ki < k; ki++ {
-		frac := float64(ki) / float64(k-1)
-		if k == 1 {
-			frac = 1
-		}
-		rho := ur / math.Pow(span, 1-frac)
-		cand, err := innerLoop(in, rho, r, eps)
-		if err != nil {
-			continue
-		}
-		if best == nil || cand.TConvergence < best.TConvergence {
-			best = cand
+	} else {
+		const span = 1000.0
+		for ki := 0; ki < k; ki++ {
+			frac := float64(ki) / float64(k-1)
+			if k == 1 {
+				frac = 1
+			}
+			rho := ur / math.Pow(span, 1-frac)
+			_ = s.innerLoop(rho, r) // an infeasible ρ is skipped
 		}
 	}
-	if best == nil {
+	if !s.found {
 		return nil, ErrNoFeasiblePolicy
 	}
-	return best, nil
+	best := s.best // a copy, so the policy does not keep the workspace alive
+	return &best, nil
 }
 
-// innerLoop is Algorithm 3's INNERLOOP: grid over t̄ ∈ [L, U].
-func innerLoop(in Input, rho float64, r int, eps float64) (*Policy, error) {
+// innerLoop is Algorithm 3's INNERLOOP: grid over t̄ ∈ [L, U]. Each
+// candidate replaces s.best when its predicted convergence time is strictly
+// lower, so the first of equal candidates wins. It fails only when ρ admits
+// no feasible t̄ interval.
+func (s *search) innerLoop(rho float64, r int) error {
+	in := s.in
 	var lo, hi float64
 	var err error
 	if in.AveragingBlend {
@@ -378,40 +428,32 @@ func innerLoop(in Input, rho float64, r int, eps float64) (*Policy, error) {
 		lo, hi, err = FeasibleTimeInterval(in.Times, in.Adj, in.Alpha, rho)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
+	s.setFloors(rho)
 	delta := (hi - lo) / float64(r)
-	var best *Policy
 	for ri := 1; ri <= r; ri++ {
 		tbar := lo + float64(ri)*delta
-		p, err := solveRows(in.Times, in.Adj, in.Alpha, rho, tbar, in.AveragingBlend)
-		if err != nil {
+		if err := s.solveRows(tbar); err != nil {
 			continue
 		}
-		// For a feasible P all workers share t_i = M·t̄, so p_i = 1/M.
-		pg := make([]float64, len(p))
-		for i := range pg {
-			pg[i] = 1 / float64(len(p))
-		}
-		var y *linalg.Matrix
 		if in.AveragingBlend {
-			y = buildYWeighted(p, in.Adj, func(i, j int) float64 { return 0.5 }, pg)
+			buildYWeighted(s.y, s.p, in.Adj, func(i, j int) float64 { return 0.5 }, s.pg)
 		} else {
-			y = buildYWithProbs(p, in.Adj, in.Alpha, rho, pg)
+			buildYWithProbs(s.y, s.p, in.Adj, in.Alpha, rho, s.pg)
 		}
-		l2, err := linalg.SecondLargestEigenvalue(y)
+		l2, err := s.eig.SecondLargest(s.y)
 		if err != nil || l2 >= 1 || l2 <= 0 {
 			continue
 		}
-		tconv := tbar * math.Log(eps) / math.Log(l2)
-		if best == nil || tconv < best.TConvergence {
-			best = &Policy{P: p, Rho: rho, Lambda2: l2, TBar: tbar, TConvergence: tconv}
+		tconv := tbar * math.Log(s.eps) / math.Log(l2)
+		if !s.found || tconv < s.best.TConvergence {
+			s.found = true
+			s.p, s.best.P = s.best.P, s.p
+			s.best.Rho, s.best.Lambda2, s.best.TBar, s.best.TConvergence = rho, l2, tbar, tconv
 		}
 	}
-	if best == nil {
-		return nil, ErrNoFeasiblePolicy
-	}
-	return best, nil
+	return nil
 }
 
 // Validate checks the structural feasibility of a policy matrix: rows sum to
