@@ -5,7 +5,8 @@ import (
 	"netmax/internal/policy"
 )
 
-// DefaultHopStaleness is the default iteration-gap bound for RunHop.
+// DefaultHopStaleness is Hop's iteration-gap bound when a manifest sets
+// none.
 const DefaultHopStaleness = 4
 
 // RunHop trains with Hop-style bounded staleness [25]: workers run the
@@ -14,11 +15,9 @@ const DefaultHopStaleness = 4
 // convergence under heterogeneity, yet — as the paper's related work notes —
 // "when network links experience a continuous slowdown, the whole system
 // would be dragged down by these low-speed links": a worker stuck behind a
-// slow link eventually stalls everyone through the staleness gate.
+// slow link eventually stalls everyone through the staleness gate. The
+// bound must be at least 1: at 0 no worker may ever advance.
 func RunHop(cfg *engine.Config, staleness int) *engine.Result {
-	if staleness <= 0 {
-		staleness = DefaultHopStaleness
-	}
 	ws := cfg.Workers()
 	tr := engine.NewTracker(cfg, ws, "Hop")
 	m := len(ws)

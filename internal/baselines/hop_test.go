@@ -15,8 +15,13 @@ func TestHopTrains(t *testing.T) {
 	}
 }
 
+// TestHopDefaultStaleness checks the bound a manifest without one gets:
+// it lets workers advance, so the run completes every epoch.
 func TestHopDefaultStaleness(t *testing.T) {
-	r := RunHop(hetConfig(4, 3, 3), 0)
+	if DefaultHopStaleness < 1 {
+		t.Fatalf("DefaultHopStaleness = %d; below 1 no worker may advance", DefaultHopStaleness)
+	}
+	r := RunHop(hetConfig(4, 3, 3), DefaultHopStaleness)
 	if r.Epochs != 3 {
 		t.Fatalf("epochs = %d", r.Epochs)
 	}

@@ -15,6 +15,12 @@ func randomVec(rng *rand.Rand, dim int) []float64 {
 	return v
 }
 
+// decode is DecodeInto into a fresh dim-length vector.
+func decode(c Codec, payload []byte, dim int, prior []float64) ([]float64, error) {
+	out := make([]float64, dim)
+	return out, c.DecodeInto(payload, out, prior)
+}
+
 func TestRawRoundTripExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, dim := range []int{0, 1, 7, 256, 1023} {
@@ -23,7 +29,7 @@ func TestRawRoundTripExact(t *testing.T) {
 		if int64(len(payload)) != (Raw{}).WireBytes(dim) {
 			t.Fatalf("dim %d: payload %d bytes, WireBytes says %d", dim, len(payload), (Raw{}).WireBytes(dim))
 		}
-		got, err := (Raw{}).Decode(payload, dim, nil)
+		got, err := decode(Raw{}, payload, dim, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +50,7 @@ func TestFloat32RoundTripWithinTolerance(t *testing.T) {
 		if int64(len(payload)) != (Float32{}).WireBytes(dim) {
 			t.Fatalf("payload %d bytes, WireBytes says %d", len(payload), (Float32{}).WireBytes(dim))
 		}
-		got, err := (Float32{}).Decode(payload, dim, nil)
+		got, err := decode(Float32{}, payload, dim, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +88,7 @@ func TestTopKPreservesLargestMagnitudes(t *testing.T) {
 			t.Fatalf("payload %d bytes, WireBytes says %d", len(payload), c.WireBytes(dim))
 		}
 		prior := randomVec(rng, dim)
-		got, err := c.Decode(payload, dim, prior)
+		got, err := decode(c, payload, dim, prior)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +119,7 @@ func TestTopKPreservesLargestMagnitudes(t *testing.T) {
 func TestTopKNilPriorDecodesZeros(t *testing.T) {
 	vec := []float64{5, -9, 0.5, 2}
 	c := NewTopK(0.5) // k = 2: coords 1 (-9) and 0 (5)
-	got, err := c.Decode(c.AppendEncode(nil, vec), 4, nil)
+	got, err := decode(c, c.AppendEncode(nil, vec), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestTopKDeterministicOnTies(t *testing.T) {
 	if string(p1) != string(p2) {
 		t.Fatal("encoding not deterministic")
 	}
-	got, err := c.Decode(p1, 5, nil)
+	got, err := decode(c, p1, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,24 +165,29 @@ func TestTopKFracClamping(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformedPayloads(t *testing.T) {
-	if _, err := (Raw{}).Decode(make([]byte, 12), 2, nil); err == nil {
+	dst := make([]float64, 2)
+	if err := (Raw{}).DecodeInto(make([]byte, 12), dst, nil); err == nil {
 		t.Fatal("raw accepted short payload")
 	}
-	if _, err := (Float32{}).Decode(make([]byte, 9), 2, nil); err == nil {
+	if err := (Float32{}).DecodeInto(make([]byte, 9), dst, nil); err == nil {
 		t.Fatal("float32 accepted misaligned payload")
 	}
-	if _, err := (TopK{}).Decode([]byte{0, 0}, 2, nil); err == nil {
+	if err := (TopK{}).DecodeInto([]byte{0, 0}, dst, nil); err == nil {
 		t.Fatal("topk accepted truncated header")
 	}
 	// k claims more entries than the payload holds.
-	if _, err := (TopK{}).Decode([]byte{0, 0, 0, 9, 1, 2, 3}, 2, nil); err == nil {
+	if err := (TopK{}).DecodeInto([]byte{0, 0, 0, 9, 1, 2, 3}, dst, nil); err == nil {
 		t.Fatal("topk accepted inconsistent k")
 	}
 	// Index out of range for dim.
 	c := NewTopK(1)
 	payload := c.AppendEncode(nil, []float64{1, 2, 3})
-	if _, err := c.Decode(payload, 2, nil); err == nil {
+	if err := c.DecodeInto(payload, dst, nil); err == nil {
 		t.Fatal("topk accepted out-of-range index")
+	}
+	// A prior of the wrong length.
+	if err := NewTopK(0.5).DecodeInto(NewTopK(0.5).AppendEncode(nil, []float64{1, 2}), dst, make([]float64, 3)); err == nil {
+		t.Fatal("topk accepted a mismatched prior")
 	}
 }
 

@@ -21,15 +21,17 @@ import (
 	"netmax/internal/policy"
 )
 
-// Options tunes NetMax beyond the engine Config.
+// Options tunes NetMax beyond the engine Config. Every value is used as
+// given: scenario.Resolved is where the defaults are decided.
 type Options struct {
-	// Ts is the Network Monitor schedule period in virtual seconds
-	// (paper: 120s).
+	// Ts is the Network Monitor schedule period in virtual seconds; it
+	// must be positive (paper: 120s).
 	Ts float64
-	// Beta is the EMA smoothing factor β of Algorithm 2 (paper suggests
-	// adapting it to network dynamics; default 0.5).
+	// Beta is the EMA smoothing factor β of Algorithm 2, in (0, 1) (the
+	// paper suggests adapting it to network dynamics).
 	Beta float64
-	// PolicyRounds sets Algorithm 3's K and R grids (default 10).
+	// PolicyRounds sets Algorithm 3's K and R grids (zero selects
+	// policy.DefaultRounds).
 	PolicyRounds int
 	// UniformPolicy disables the adaptive policy (the "uniform" arm of the
 	// Fig. 7 ablation): the monitor still runs but its output is ignored.
@@ -48,20 +50,8 @@ type Options struct {
 }
 
 // DefaultBeta is the EMA smoothing factor β of Algorithm 2's per-link time
-// vector when none is configured.
+// vector when a manifest sets none.
 const DefaultBeta = 0.5
-
-func (o *Options) defaults() {
-	if o.Ts <= 0 {
-		o.Ts = 120
-	}
-	if o.Beta <= 0 || o.Beta >= 1 {
-		o.Beta = DefaultBeta
-	}
-	if o.PolicyRounds <= 0 {
-		o.PolicyRounds = 10
-	}
-}
 
 // Peer is one worker's side of Algorithm 2: its row of the communication
 // policy, the consensus step size ρ and its EMA time vector T_i. Both
@@ -140,10 +130,10 @@ func (p *Peer) Coef(j int) float64 {
 	return c
 }
 
-// Observe folds a measured iteration time with peer j into the EMA time
+// UpdateTime folds a measured iteration time with peer j into the EMA time
 // vector (Algorithm 2 UPDATETIMEVECTOR) and returns the smoothed time the
 // worker reports to the Network Monitor.
-func (p *Peer) Observe(j int, secs float64) float64 {
+func (p *Peer) UpdateTime(j int, secs float64) float64 {
 	if p.ema[j] == 0 {
 		p.ema[j] = secs
 	} else {
@@ -167,7 +157,6 @@ type behavior struct {
 }
 
 func newBehavior(cfg *engine.Config, opts Options) *behavior {
-	opts.defaults()
 	adj := cfg.Net.Topo.Adj
 	return &behavior{
 		opts:  opts,
@@ -176,8 +165,7 @@ func newBehavior(cfg *engine.Config, opts Options) *behavior {
 			Adj:            adj,
 			Alpha:          cfg.LR,
 			Period:         opts.Ts,
-			OuterRounds:    opts.PolicyRounds,
-			InnerRounds:    opts.PolicyRounds,
+			PolicyRounds:   opts.PolicyRounds,
 			AveragingBlend: opts.FixedBlend,
 			StalePeriods:   opts.StalePeriods,
 		}),
@@ -219,7 +207,7 @@ func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 	if i == j {
 		return
 	}
-	b.mon.ObserveAt(i, j, b.peers[i].Observe(j, iterSecs), now)
+	b.mon.ObserveAt(i, j, b.peers[i].UpdateTime(j, iterSecs), now)
 }
 
 // Symmetric reports whether the blend applies to both endpoints: NetMax's

@@ -34,8 +34,42 @@ func hetConfig(workers, epochs int, seed int64) *engine.Config {
 	}
 }
 
+// opts returns the options a resolved NetMax manifest with a 2 s monitor
+// period builds, after applying mod.
+func opts(mod func(*Options)) Options {
+	o := Options{Ts: 2, Beta: DefaultBeta, PolicyRounds: policy.DefaultRounds}
+	if mod != nil {
+		mod(&o)
+	}
+	return o
+}
+
+// watched wraps NetMax's behavior and, after every Tick, records what the
+// policy worker 0 adopted: each regeneration installs a freshly generated
+// P, so a new row is a new policy.
+type watched struct {
+	*behavior
+	last     *float64
+	policies int
+	// excluded is set once an adopted policy gives worker 1 no mass: the
+	// monitor counts it dead (failure-free policies keep the Eq. 11 floor
+	// on every neighbor).
+	excluded bool
+}
+
+func watch(b *behavior) *watched { return &watched{behavior: b, last: &b.peers[0].Row()[0]} }
+
+func (w *watched) Tick(now float64) {
+	w.behavior.Tick(now)
+	if row := w.peers[0].Row(); &row[0] != w.last {
+		w.last = &row[0]
+		w.policies++
+		w.excluded = w.excluded || row[1] == 0
+	}
+}
+
 func TestNetMaxTrains(t *testing.T) {
-	r := Run(hetConfig(4, 6, 3), Options{Ts: 2})
+	r := Run(hetConfig(4, 6, 3), opts(nil))
 	if r.Epochs != 6 {
 		t.Fatalf("epochs = %d", r.Epochs)
 	}
@@ -48,26 +82,26 @@ func TestNetMaxTrains(t *testing.T) {
 }
 
 func TestNetMaxDeterministic(t *testing.T) {
-	a := Run(hetConfig(4, 3, 3), Options{Ts: 2})
-	b := Run(hetConfig(4, 3, 3), Options{Ts: 2})
+	a := Run(hetConfig(4, 3, 3), opts(nil))
+	b := Run(hetConfig(4, 3, 3), opts(nil))
 	if a.TotalTime != b.TotalTime || a.FinalLoss != b.FinalLoss {
 		t.Fatalf("non-deterministic: %v/%v vs %v/%v", a.TotalTime, a.FinalLoss, b.TotalTime, b.FinalLoss)
 	}
 }
 
 func TestNetMaxRegeneratesPolicies(t *testing.T) {
-	b := newBehavior(hetConfig(4, 1, 3), Options{Ts: 2})
 	cfg := hetConfig(4, 8, 3)
-	engine.RunAsync(cfg, b, "NetMax")
-	if b.mon.Regenerations < 2 {
-		t.Fatalf("monitor regenerated only %d times over a multi-period run", b.mon.Regenerations)
+	w := watch(newBehavior(cfg, opts(nil)))
+	engine.RunAsync(cfg, w, "NetMax")
+	if w.policies < 2 {
+		t.Fatalf("workers adopted only %d policies over a multi-period run", w.policies)
 	}
 }
 
 func TestNetMaxFasterThanADPSGDHeterogeneous(t *testing.T) {
 	// The headline claim (Fig. 8): on a heterogeneous network NetMax's
 	// total training time beats AD-PSGD's for the same epoch count.
-	nm := Run(hetConfig(8, 12, 11), Options{Ts: 2})
+	nm := Run(hetConfig(8, 12, 11), opts(nil))
 	ad := baselines.RunADPSGD(hetConfig(8, 12, 11))
 	if nm.TotalTime >= ad.TotalTime {
 		t.Fatalf("NetMax %vs not faster than AD-PSGD %vs", nm.TotalTime, ad.TotalTime)
@@ -76,7 +110,7 @@ func TestNetMaxFasterThanADPSGDHeterogeneous(t *testing.T) {
 
 func TestNetMaxCommCostBelowADPSGD(t *testing.T) {
 	// Fig. 5: NetMax's per-epoch communication cost is below AD-PSGD's.
-	nm := Run(hetConfig(8, 12, 13), Options{Ts: 2})
+	nm := Run(hetConfig(8, 12, 13), opts(nil))
 	ad := baselines.RunADPSGD(hetConfig(8, 12, 13))
 	if nm.CommCostPerEpoch(8) >= ad.CommCostPerEpoch(8) {
 		t.Fatalf("NetMax comm %v >= AD-PSGD %v", nm.CommCostPerEpoch(8), ad.CommCostPerEpoch(8))
@@ -95,7 +129,7 @@ func TestNetMaxHomogeneousMatchesADPSGD(t *testing.T) {
 		cfg.Net = simnet.NewHomogeneous(simnet.SingleMachine(8))
 		return cfg
 	}
-	nm := Run(mk(), Options{Ts: 2})
+	nm := Run(mk(), opts(nil))
 	ad := baselines.RunADPSGD(mk())
 	ratio := nm.TotalTime / ad.TotalTime
 	if ratio > 1.5 || ratio < 0.5 {
@@ -104,8 +138,8 @@ func TestNetMaxHomogeneousMatchesADPSGD(t *testing.T) {
 }
 
 func TestUniformPolicyOptionDisablesAdaptation(t *testing.T) {
-	adaptive := Run(hetConfig(8, 10, 17), Options{Ts: 2})
-	uniform := Run(hetConfig(8, 10, 17), Options{Ts: 2, UniformPolicy: true})
+	adaptive := Run(hetConfig(8, 10, 17), opts(nil))
+	uniform := Run(hetConfig(8, 10, 17), opts(func(o *Options) { o.UniformPolicy = true }))
 	// Fig. 7: adaptive probabilities are the main source of gain.
 	if adaptive.TotalTime >= uniform.TotalTime {
 		t.Fatalf("adaptive (%v) not faster than uniform (%v)", adaptive.TotalTime, uniform.TotalTime)
@@ -114,7 +148,7 @@ func TestUniformPolicyOptionDisablesAdaptation(t *testing.T) {
 
 func TestADPSGDMonitorBetweenADPSGDAndNetMax(t *testing.T) {
 	// Fig. 15: AD-PSGD+Monitor is faster than plain AD-PSGD in time.
-	ext := RunADPSGDMonitor(hetConfig(8, 10, 19), Options{Ts: 2})
+	ext := RunADPSGDMonitor(hetConfig(8, 10, 19), opts(nil))
 	ad := baselines.RunADPSGD(hetConfig(8, 10, 19))
 	if ext.TotalTime >= ad.TotalTime {
 		t.Fatalf("AD-PSGD+Monitor (%v) not faster than AD-PSGD (%v)", ext.TotalTime, ad.TotalTime)
@@ -126,7 +160,7 @@ func TestADPSGDMonitorBetweenADPSGDAndNetMax(t *testing.T) {
 
 func TestBlendCoefScalesInverselyWithProbability(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{})
+	b := newBehavior(cfg, opts(nil))
 	b.peers[0].row = []float64{0, 0.8, 0.1, 0.1}
 	cHigh := b.BlendCoef(0, 1) // frequently selected neighbor
 	cLow := b.BlendCoef(0, 2)  // rarely selected neighbor
@@ -141,7 +175,7 @@ func TestBlendCoefScalesInverselyWithProbability(t *testing.T) {
 
 func TestBlendCoefClamped(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{})
+	b := newBehavior(cfg, opts(nil))
 	b.peers[0].rho = 1e6 // absurd rho must not produce a divergent blend
 	if c := b.BlendCoef(0, 1); c > 1 {
 		t.Fatalf("blend coefficient %v > 1", c)
@@ -150,7 +184,7 @@ func TestBlendCoefClamped(t *testing.T) {
 
 func TestSelectPeerRespectsPolicySupport(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{})
+	b := newBehavior(cfg, opts(nil))
 	b.peers[0].row = []float64{0, 1, 0, 0}
 	ws := cfg.Workers()
 	for k := 0; k < 100; k++ {
@@ -162,23 +196,30 @@ func TestSelectPeerRespectsPolicySupport(t *testing.T) {
 
 func TestFixedBlendOption(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{FixedBlend: true})
+	b := newBehavior(cfg, opts(func(o *Options) { o.FixedBlend = true }))
 	if c := b.BlendCoef(0, 1); c != 0.5 {
 		t.Fatalf("fixed blend = %v, want 0.5", c)
 	}
 }
 
+// TestOptionsDefaults pins the defaults core still owns: β is the paper's
+// 0.5, and a zero PolicyRounds selects policy.DefaultRounds, so leaving it
+// unset and setting the default give the same run.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}
-	o.defaults()
-	if o.Ts != 120 || o.Beta != 0.5 || o.PolicyRounds != 10 {
-		t.Fatalf("defaults = %+v", o)
+	if DefaultBeta != 0.5 || policy.DefaultRounds != 10 {
+		t.Fatalf("DefaultBeta = %v, policy.DefaultRounds = %d; want 0.5 and 10", DefaultBeta, policy.DefaultRounds)
+	}
+	a := Run(hetConfig(4, 2, 3), opts(func(o *Options) { o.PolicyRounds = 0 }))
+	b := Run(hetConfig(4, 2, 3), opts(nil))
+	if a.TotalTime != b.TotalTime || a.FinalLoss != b.FinalLoss {
+		t.Fatalf("zero PolicyRounds differs from the default: %v/%v vs %v/%v",
+			a.TotalTime, a.FinalLoss, b.TotalTime, b.FinalLoss)
 	}
 }
 
 func TestEMAUpdateRule(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{Beta: 0.5})
+	b := newBehavior(cfg, opts(nil))
 	b.OnIterationEnd(0, 1, 2.0, 0)
 	if b.peers[0].ema[1] != 2.0 {
 		t.Fatalf("first observation should seed EMA, got %v", b.peers[0].ema[1])
@@ -197,11 +238,11 @@ func TestEMAUpdateRule(t *testing.T) {
 // rejoin with monitor liveness tracking enabled: the run must finish every
 // epoch, keep the loss decreasing in trend, and leave no peer masked.
 func TestNetMaxSurvivesCrashRejoin(t *testing.T) {
-	clean := Run(hetConfig(4, 4, 3), Options{Ts: 2})
+	clean := Run(hetConfig(4, 4, 3), opts(nil))
 	cfg := hetConfig(4, 4, 3)
 	cfg.Failures = simnet.NewFailureSchedule().
 		Crash(1, clean.TotalTime*0.25, clean.TotalTime*0.55)
-	r := Run(cfg, Options{Ts: 2, StalePeriods: 2})
+	r := Run(cfg, opts(func(o *Options) { o.StalePeriods = 2 }))
 	if r.Epochs != 4 {
 		t.Fatalf("churn run completed %d epochs, want 4", r.Epochs)
 	}
@@ -218,10 +259,10 @@ func TestNetMaxSurvivesCrashRejoin(t *testing.T) {
 // TestNetMaxFailureFreeScheduleIdentical pins the bitwise gate one level
 // up: a NetMax run with an inert schedule attached matches the bare run.
 func TestNetMaxFailureFreeScheduleIdentical(t *testing.T) {
-	a := Run(hetConfig(4, 2, 3), Options{Ts: 2})
+	a := Run(hetConfig(4, 2, 3), opts(nil))
 	cfg := hetConfig(4, 2, 3)
 	cfg.Failures = simnet.NewFailureSchedule() // empty
-	b := Run(cfg, Options{Ts: 2})
+	b := Run(cfg, opts(nil))
 	if a.TotalTime != b.TotalTime || a.FinalLoss != b.FinalLoss || a.FinalAccuracy != b.FinalAccuracy {
 		t.Fatalf("inert schedule changed the trajectory: %v/%v vs %v/%v",
 			a.TotalTime, a.FinalLoss, b.TotalTime, b.FinalLoss)
@@ -234,23 +275,22 @@ func TestNetMaxFailureFreeScheduleIdentical(t *testing.T) {
 // while the coverage gate froze policy regeneration for the whole cluster.
 // After the rejoin, the worker must end the run live and receiving pulls.
 func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
-	clean := Run(hetConfig(4, 2, 3), Options{Ts: 2})
+	clean := Run(hetConfig(4, 2, 3), opts(nil))
 	cfg := hetConfig(4, 8, 3)
 	// Down for many staleness windows (Ts=2, k=1): guaranteed eviction.
 	crashAt := clean.TotalTime * 0.5
 	rejoinAt := crashAt + 10*2
 	cfg.Failures = simnet.NewFailureSchedule().Crash(1, crashAt, rejoinAt)
-	b := newBehavior(cfg, Options{Ts: 2, StalePeriods: 1})
+	b := watch(newBehavior(cfg, opts(func(o *Options) { o.StalePeriods = 1 })))
 	r := engine.RunAsync(cfg, b, "NetMax")
 	if r.Epochs != 8 {
 		t.Fatalf("run completed %d epochs, want 8", r.Epochs)
 	}
-	alive := b.mon.LiveWorkers(r.TotalTime)
-	if b.mon.Evictions == 0 {
+	if !b.excluded {
 		t.Fatal("worker was never evicted; the scenario did not exercise re-admission")
 	}
-	if !alive[1] {
-		t.Fatal("rejoined worker still considered dead at run end (exile loop)")
+	if b.peers[0].Row()[1] == 0 {
+		t.Fatal("rejoined worker still receives no pulls at run end (exile loop)")
 	}
 	// A self-pinned row is adopted as the uniform fallback, so ending on
 	// that fallback means the last policy still pinned worker 1 to self.
@@ -263,7 +303,7 @@ func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
 // rule: the initial uniform blend coefficient is αρ·deg = 1/8, a policy
 // row that pins the worker to itself falls back to the uniform row without
 // writing into the shared policy, the fallback blends with a positive
-// coefficient, and Observe seeds then smooths the EMA.
+// coefficient, and UpdateTime seeds then smooths the EMA.
 func TestPeerAdoptsUniformForSelfPinnedRow(t *testing.T) {
 	adj := simnet.FullyConnected(4)
 	peers := NewPeers(adj, 0.1, 0.5)
@@ -290,10 +330,10 @@ func TestPeerAdoptsUniformForSelfPinnedRow(t *testing.T) {
 	if !reflect.DeepEqual(peers[0].Row(), P[0]) {
 		t.Fatalf("peer row = %v, want the policy's %v", peers[0].Row(), P[0])
 	}
-	if got := peers[0].Observe(1, 2); got != 2 {
+	if got := peers[0].UpdateTime(1, 2); got != 2 {
 		t.Fatalf("first observation should seed the EMA, got %v", got)
 	}
-	if got := peers[0].Observe(1, 4); got != 3 {
+	if got := peers[0].UpdateTime(1, 4); got != 3 {
 		t.Fatalf("EMA = %v, want 0.5*2 + 0.5*4 = 3", got)
 	}
 }

@@ -299,12 +299,9 @@ events:
 			if pullFailed {
 				// The local gradient step proceeds while the doomed pull
 				// waits out the detection deadline; no bytes move.
-				iterSecs = comp + fs.Detect()
+				iterSecs = comp + fs.DetectSecs
 				if cfg.Overlap {
-					iterSecs = comp
-					if d := fs.Detect(); d > iterSecs {
-						iterSecs = d
-					}
+					iterSecs = max(comp, fs.DetectSecs)
 				}
 			} else {
 				if j != i {

@@ -37,7 +37,7 @@ type Config struct {
 	LR    float64
 	Batch int
 	Seed  int64
-	// Ts is the monitor's wall-clock policy period; zero selects DefaultTs.
+	// Ts is the monitor's wall-clock policy period; it must be positive.
 	Ts time.Duration
 	// Duration bounds the run (wall clock); zero means rely on Iterations.
 	Duration time.Duration
@@ -49,7 +49,7 @@ type Config struct {
 	Codec codec.Codec
 	// PullTimeout bounds every model pull and monitor exchange: a hung or
 	// dead peer costs at most one deadline instead of blocking the worker
-	// forever. Zero selects DefaultPullTimeout; negative disables deadlines.
+	// forever. Zero disables deadlines.
 	PullTimeout time.Duration
 	// Churn schedules wall-clock crash/rejoin events for workers: the
 	// worker goes silent (and its transport endpoint refuses pulls) at At,
@@ -66,10 +66,10 @@ type ChurnEvent struct {
 }
 
 const (
-	// DefaultTs is the monitor's policy period when Config.Ts is zero.
+	// DefaultTs is the monitor's policy period when a manifest sets none.
 	DefaultTs = 500 * time.Millisecond
-	// DefaultPullTimeout is the conservative per-call deadline applied
-	// when Config.PullTimeout is zero.
+	// DefaultPullTimeout is the conservative per-call deadline when a
+	// manifest sets none.
 	DefaultPullTimeout = 2 * time.Second
 	// stalePeriods is the monitor's liveness window: a worker silent for
 	// this many Ts periods is evicted and policies regenerate over the
@@ -160,29 +160,18 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	m := len(cfg.Part.Shards)
 	adj := simnet.FullyConnected(m)
 
-	ts := cfg.Ts
-	if ts <= 0 {
-		ts = DefaultTs
-	}
-	pullTimeout := cfg.PullTimeout
-	if pullTimeout == 0 {
-		pullTimeout = DefaultPullTimeout
-	} else if pullTimeout < 0 {
-		pullTimeout = 0
-	}
 	// A masked peer is retried after the monitor has had a fair chance to
 	// react: the staleness window plus one period.
-	maskCooldown := ts * (stalePeriods + 1)
+	maskCooldown := cfg.Ts * (stalePeriods + 1)
 
 	if cfg.Codec != nil {
 		hub.SetCodec(cfg.Codec)
 	}
-	hub.SetPullTimeout(pullTimeout)
+	hub.SetPullTimeout(cfg.PullTimeout)
 	start := time.Now()
-	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: ts.Seconds(), StalePeriods: stalePeriods})
-	hub.OnReport(func(from, to int, secs float64, bytes int64) {
+	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: cfg.Ts.Seconds(), StalePeriods: stalePeriods})
+	hub.OnReport(func(from, to int, secs float64, _ int64) {
 		mon.ObserveAt(from, to, secs, time.Since(start).Seconds())
-		mon.ObserveBytes(from, to, bytes)
 	})
 
 	ws := engine.NewWorkers(cfg.Spec, cfg.Part, cfg.LR, cfg.Batch, cfg.Seed)
@@ -219,7 +208,7 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	monDone := make(chan struct{})
 	go func() {
 		defer close(monDone)
-		ticker := time.NewTicker(ts)
+		ticker := time.NewTicker(cfg.Ts)
 		defer ticker.Stop()
 		for {
 			select {
@@ -331,7 +320,7 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 						wireBytes.Add(pulledBytes)
 						pulls.Add(1)
 						secs := time.Since(iterStart).Seconds()
-						_ = monClient.ReportTime(w.ID, j, w.peer.Observe(j, secs), pulledBytes)
+						_ = monClient.ReportTime(w.ID, j, w.peer.UpdateTime(j, secs), pulledBytes)
 					}
 				} else if j != w.ID && pullErr != nil {
 					// Failed pull: mask the peer locally until the monitor
@@ -344,7 +333,7 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 						peerDown.Add(1)
 					}
 					secs := time.Since(iterStart).Seconds()
-					_ = monClient.ReportTime(w.ID, j, w.peer.Observe(j, secs), 0)
+					_ = monClient.ReportTime(w.ID, j, w.peer.UpdateTime(j, secs), 0)
 				}
 				counts[w.ID]++ // safe: one writer per index
 			}

@@ -92,14 +92,15 @@ func TestLiveGroupCrashOverTCP(t *testing.T) {
 func liveConfig(workers, iters int) Config {
 	train, test := data.SynthMNIST.Generate(1)
 	return Config{
-		Spec:       nn.SimMobileNet,
-		Part:       data.Uniform(train, workers, 1),
-		Test:       test,
-		LR:         0.1,
-		Batch:      16,
-		Seed:       7,
-		Ts:         50 * time.Millisecond,
-		Iterations: iters,
+		Spec:        nn.SimMobileNet,
+		Part:        data.Uniform(train, workers, 1),
+		Test:        test,
+		LR:          0.1,
+		Batch:       16,
+		Seed:        7,
+		Ts:          50 * time.Millisecond,
+		Iterations:  iters,
+		PullTimeout: DefaultPullTimeout,
 	}
 }
 

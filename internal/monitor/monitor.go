@@ -21,16 +21,18 @@ type Config struct {
 	Adj [][]bool
 	// Alpha is the workers' learning rate (needed for the Eq. 11 floors).
 	Alpha float64
-	// Period is Ts, the schedule period in (virtual) seconds. The paper
-	// uses 2 minutes; shorter values react faster to link changes.
+	// Period is Ts, the schedule period in (virtual) seconds; it must be
+	// positive. The paper uses 2 minutes; shorter values react faster to
+	// link changes.
 	Period float64
-	// OuterRounds/InnerRounds are Algorithm 3's grid sizes (default 10).
-	OuterRounds, InnerRounds int
+	// PolicyRounds is Algorithm 3's K and R grid size (zero selects
+	// policy.DefaultRounds).
+	PolicyRounds int
 	// AveragingBlend selects the Section III-D extension mode (fixed 1/2
 	// averaging weight) when generating policies.
 	AveragingBlend bool
 	// StalePeriods enables liveness tracking: a worker whose last
-	// timestamped report (ObserveAt) is older than StalePeriods*Period is
+	// report (ObserveAt) is older than StalePeriods*Period is
 	// evicted — its EMA row is cleared and policies are regenerated over
 	// the live subgraph only, so the policy stops routing pulls at a
 	// corpse whose last (attractive) iteration time would otherwise live
@@ -47,55 +49,32 @@ type Monitor struct {
 	last float64     // virtual time of last regeneration
 	ran  bool
 
-	payload    [][]int64 // latest reported encoded transfer size per link
-	totalBytes int64     // cumulative reported bytes-on-wire
-
-	clock        float64   // latest time seen (ObserveAt/MaybeRegenerate)
-	lastReport   []float64 // per-worker time of the last timestamped report
+	lastReport   []float64 // per-worker time of the last report
 	everReported []bool    // per-worker: any report ever (coverage gate)
 	membAlive    []bool    // membership-event liveness (SetLiveness); nil = all
 	lastAlive    []bool    // liveness set of the last successful regeneration
-
-	// Regenerations counts successful policy computations (observability).
-	Regenerations int
-	// Evictions counts workers evicted for staleness (observability).
-	Evictions int
 }
 
-// New creates a Monitor. Period must be positive.
+// New creates a Monitor. cfg.Period must be positive.
 func New(cfg Config) *Monitor {
-	if cfg.Period <= 0 {
-		cfg.Period = 120 // the paper's Ts = 2 minutes
-	}
 	m := len(cfg.Adj)
 	ema := make([][]float64, m)
-	payload := make([][]int64, m)
 	for i := range ema {
 		ema[i] = make([]float64, m)
-		payload[i] = make([]int64, m)
 	}
 	lastAlive := make([]bool, m)
 	for i := range lastAlive {
 		lastAlive[i] = true
 	}
-	return &Monitor{cfg: cfg, m: m, ema: ema, payload: payload,
+	return &Monitor{cfg: cfg, m: m, ema: ema,
 		lastReport: make([]float64, m), everReported: make([]bool, m), lastAlive: lastAlive}
 }
 
-// Observe ingests one measured iteration time for link (i, j). In the
-// distributed deployment this arrives with the periodic statistics pull; in
-// the simulator workers report as they finish iterations. The worker-side
-// EMA has already been applied, so the monitor just stores the latest value.
-func (mo *Monitor) Observe(i, j int, iterSecs float64) {
-	mo.mu.Lock()
-	now := mo.clock
-	mo.mu.Unlock()
-	mo.ObserveAt(i, j, iterSecs, now)
-}
-
-// ObserveAt is Observe with the (virtual or wall) time of the report. The
-// timestamp feeds liveness tracking: a worker whose reports stop arriving
-// is evicted from policy generation after StalePeriods periods.
+// ObserveAt ingests one smoothed iteration time for link (i, j), reported
+// at (virtual or wall) time now. The worker-side EMA has already been
+// applied, so the monitor just stores the latest value. The timestamp
+// feeds liveness tracking: a worker whose reports stop arriving is evicted
+// from policy generation after StalePeriods periods.
 func (mo *Monitor) ObserveAt(i, j int, iterSecs, now float64) {
 	// Reports arrive over the wire: reject out-of-range indices and
 	// non-finite or non-positive times, either of which would poison the
@@ -109,9 +88,6 @@ func (mo *Monitor) ObserveAt(i, j int, iterSecs, now float64) {
 	mo.everReported[i] = true
 	if now > mo.lastReport[i] {
 		mo.lastReport[i] = now
-	}
-	if now > mo.clock {
-		mo.clock = now
 	}
 	mo.mu.Unlock()
 }
@@ -139,9 +115,6 @@ func (mo *Monitor) SetLiveness(alive []bool, now float64) {
 			mo.lastReport[i] = now
 		}
 	}
-	if now > mo.clock {
-		mo.clock = now
-	}
 }
 
 // aliveAt reports the combined liveness of worker i at time now: live
@@ -166,61 +139,17 @@ func (mo *Monitor) liveness(now float64) []bool {
 	return alive
 }
 
-// LiveWorkers returns the combined liveness vector at time now
-// (observability, tests).
-func (mo *Monitor) LiveWorkers(now float64) []bool {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	return mo.liveness(now)
-}
-
 // validLink bounds-checks worker indices: reports arrive over the wire, so
 // a malformed or hostile frame must not index outside the m x m matrices.
 func (mo *Monitor) validLink(i, j int) bool {
 	return i >= 0 && i < mo.m && j >= 0 && j < mo.m
 }
 
-// ObserveBytes ingests the encoded byte size of one model transfer on link
-// (i, j) — the wire payload the transport's codec actually produced, which
-// arrives with the iteration-time report. The monitor keeps the latest
-// per-link payload size (link-bandwidth observability under compression)
-// and the cumulative bytes-on-wire total.
-func (mo *Monitor) ObserveBytes(i, j int, bytes int64) {
-	if i == j || bytes <= 0 || !mo.validLink(i, j) {
-		return
-	}
-	mo.mu.Lock()
-	mo.payload[i][j] = bytes
-	mo.totalBytes += bytes
-	mo.mu.Unlock()
-}
-
-// TotalWireBytes returns the cumulative encoded bytes reported so far.
-func (mo *Monitor) TotalWireBytes() int64 {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	return mo.totalBytes
-}
-
-// LinkWireBytes returns a copy of the latest per-link encoded transfer
-// sizes (zero where no report carried a byte count yet).
-func (mo *Monitor) LinkWireBytes() [][]int64 {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	out := make([][]int64, mo.m)
-	for i := range out {
-		out[i] = make([]int64, mo.m)
-		copy(out[i], mo.payload[i])
-	}
-	return out
-}
-
-// Times returns a copy of the current iteration-time matrix with gaps
+// times returns a copy of the current iteration-time matrix with gaps
 // (never-observed links) filled pessimistically with the largest observed
-// time, so that policy generation can run before full coverage.
-func (mo *Monitor) Times() [][]float64 {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
+// time, so that policy generation can run before full coverage. Callers
+// hold mo.mu.
+func (mo *Monitor) times() [][]float64 {
 	maxT := 0.0
 	for i := range mo.ema {
 		for j := range mo.ema[i] {
@@ -250,7 +179,7 @@ func (mo *Monitor) Times() [][]float64 {
 // the current EMA row: eviction clears a worker's row, and a re-admitted
 // worker whose fresh reports have not arrived yet must not freeze policy
 // regeneration for the whole cluster — its cleared row is gap-filled
-// pessimistically by Times until real measurements rebuild it. Callers
+// pessimistically by times until real measurements rebuild it. Callers
 // hold mo.mu.
 func (mo *Monitor) coverage(alive []bool) bool {
 	for i, ok := range mo.everReported {
@@ -269,9 +198,6 @@ func (mo *Monitor) coverage(alive []bool) bool {
 // the live subgraph. Otherwise ok=false.
 func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 	mo.mu.Lock()
-	if now > mo.clock {
-		mo.clock = now
-	}
 	// Allocation-free fast path: Tick calls this on every event, so the
 	// liveness vector is only materialized once a regeneration is due.
 	changed := false
@@ -293,32 +219,29 @@ func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 	// Stale-row eviction: a newly dead worker's own measurements are
 	// meaningless after it returns, so its EMA row is cleared; fresh
 	// reports rebuild it on re-admission (gap-filled pessimistically by
-	// Times until then).
+	// times until then).
 	for i, ok := range alive {
 		if !ok && mo.lastAlive[i] {
 			for j := range mo.ema[i] {
 				mo.ema[i][j] = 0
 			}
-			mo.Evictions++
 		}
 	}
+	times := mo.times()
 	mo.mu.Unlock()
 
 	pol, err := policy.GenerateLive(policy.Input{
-		Times:          mo.Times(),
+		Times:          times,
 		Adj:            mo.cfg.Adj,
 		Alpha:          mo.cfg.Alpha,
-		OuterRounds:    mo.cfg.OuterRounds,
-		InnerRounds:    mo.cfg.InnerRounds,
+		OuterRounds:    mo.cfg.PolicyRounds,
+		InnerRounds:    mo.cfg.PolicyRounds,
 		AveragingBlend: mo.cfg.AveragingBlend,
 	}, alive)
 	mo.mu.Lock()
 	mo.last = now
 	mo.ran = true
 	mo.lastAlive = alive
-	if err == nil {
-		mo.Regenerations++
-	}
 	mo.mu.Unlock()
 	if err != nil {
 		return nil, false

@@ -14,7 +14,7 @@ import (
 func BuildYAveraging(p [][]float64, times [][]float64, adj [][]bool) *linalg.Matrix {
 	pg := GlobalStepProbs(AvgIterTimes(p, times, adj))
 	y := linalg.NewMatrix(len(p))
-	buildYWeighted(y, p, adj, func(i, j int) float64 { return 0.5 }, pg)
+	buildY(y, p, adj, 0, true, pg)
 	return y
 }
 

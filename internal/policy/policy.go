@@ -29,7 +29,7 @@ type Input struct {
 	// Alpha is the SGD learning rate α.
 	Alpha float64
 	// OuterRounds (K) and InnerRounds (R) are the grid sizes of
-	// Algorithm 3. Zero values default to 10 and 10.
+	// Algorithm 3. Zero values select DefaultRounds.
 	OuterRounds, InnerRounds int
 	// Epsilon is the convergence target ε of Eq. (9); defaults to 1e-2.
 	Epsilon float64
@@ -57,6 +57,9 @@ type Policy struct {
 	// the selection objective (Eq. 8).
 	TConvergence float64
 }
+
+// DefaultRounds is Algorithm 3's grid size K = R when none is given.
+const DefaultRounds = 10
 
 // ErrNoFeasiblePolicy is returned when no (ρ, t̄) candidate admits a feasible
 // probability matrix; callers should fall back to Uniform.
@@ -148,34 +151,19 @@ func GlobalStepProbs(avgIterTimes []float64) []float64 {
 func BuildY(p [][]float64, times [][]float64, adj [][]bool, alpha, rho float64) *linalg.Matrix {
 	pg := GlobalStepProbs(AvgIterTimes(p, times, adj))
 	y := linalg.NewMatrix(len(p))
-	buildYWithProbs(y, p, adj, alpha, rho, pg)
+	buildY(y, p, adj, alpha*rho, false, pg)
 	return y
 }
 
-// buildYWithProbs writes Eq. (22) with explicit global-step probabilities
-// into y. γ_{i,m} = (d_im+d_mi)/(2 p_im); terms with p_im = 0 contribute
-// nothing (the selection event has probability zero).
-func buildYWithProbs(y *linalg.Matrix, p [][]float64, adj [][]bool, alpha, rho float64, pg []float64) {
-	ar := alpha * rho
-	gamma := func(i, j int) float64 {
-		d := 0.0
-		if adj[i][j] {
-			d++
-		}
-		if adj[j][i] {
-			d++
-		}
-		return d / (2 * p[i][j])
-	}
-	buildYWeighted(y, p, adj, func(i, j int) float64 { return ar * gamma(i, j) }, pg)
-}
-
-// buildYWeighted writes E[(D^k)ᵀD^k] for the generic update
-// D^k = I + w(i,m)·e_i(e_m-e_i)ᵀ into y, overwriting every entry: with
-// w = αργ this is Eq. (22); with w = 1/2 it is the averaging extension. In
-// terms of w the entries are y_im = Σ_{sides} pg·p·(w - w²) and
+// buildY writes E[(D^k)ᵀD^k] for the update D^k = I + w_im·e_i(e_m-e_i)ᵀ
+// into y, overwriting every entry, given the global-step probabilities pg.
+// The weight is w_im = αρ·γ_im with γ_im = (d_im+d_mi)/(2 p_im), which is
+// Eq. (22), or w_im = 1/2 under averaging (the Section III-D extension).
+// Terms with p_im = 0 contribute nothing (the selection event has
+// probability zero). In terms of w the entries are
+// y_im = Σ_{sides} pg·p·(w - w²) and
 // y_ii = 1 - 2 Σ_m pg_i p_im w_im + Σ_m Σ_{sides} pg·p·w².
-func buildYWeighted(y *linalg.Matrix, p [][]float64, adj [][]bool, w func(i, j int) float64, pg []float64) {
+func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging bool, pg []float64) {
 	m := len(p)
 	for i := 0; i < m; i++ {
 		diag := 1.0
@@ -183,16 +171,30 @@ func buildYWeighted(y *linalg.Matrix, p [][]float64, adj [][]bool, w func(i, j i
 			if j == i {
 				continue
 			}
+			// d = d_im + d_mi is the same from both sides.
+			d := 0.0
+			if adj[i][j] {
+				d++
+			}
+			if adj[j][i] {
+				d++
+			}
 			var first, second float64
 			if adj[i][j] && p[i][j] > 0 {
-				wij := w(i, j)
+				wij := 0.5
+				if !averaging {
+					wij = ar * (d / (2 * p[i][j]))
+				}
 				first += pg[i] * p[i][j] * wij
 				second += pg[i] * p[i][j] * wij * wij
 				// Diagonal first-order term covers only i's own pulls.
 				diag -= 2 * pg[i] * p[i][j] * wij
 			}
 			if adj[j][i] && p[j][i] > 0 {
-				wji := w(j, i)
+				wji := 0.5
+				if !averaging {
+					wji = ar * (d / (2 * p[j][i]))
+				}
 				first += pg[j] * p[j][i] * wji
 				second += pg[j] * p[j][i] * wji * wji
 			}
@@ -361,11 +363,11 @@ func Generate(in Input) (*Policy, error) {
 	}
 	k := in.OuterRounds
 	if k <= 0 {
-		k = 10
+		k = DefaultRounds
 	}
 	r := in.InnerRounds
 	if r <= 0 {
-		r = 10
+		r = DefaultRounds
 	}
 	eps := in.Epsilon
 	if eps <= 0 || eps >= 1 {
@@ -437,11 +439,7 @@ func (s *search) innerLoop(rho float64, r int) error {
 		if err := s.solveRows(tbar); err != nil {
 			continue
 		}
-		if in.AveragingBlend {
-			buildYWeighted(s.y, s.p, in.Adj, func(i, j int) float64 { return 0.5 }, s.pg)
-		} else {
-			buildYWithProbs(s.y, s.p, in.Adj, in.Alpha, rho, s.pg)
-		}
+		buildY(s.y, s.p, in.Adj, in.Alpha*rho, in.AveragingBlend, s.pg)
 		l2, err := s.eig.SecondLargest(s.y)
 		if err != nil || l2 >= 1 || l2 <= 0 {
 			continue

@@ -113,9 +113,6 @@ func (r *Manifest) engineRunner() (func(*engine.Config) *engine.Result, error) {
 // coreOptions converts the resolved NetMax block into core.Options.
 func (r *Manifest) coreOptions() core.Options {
 	nm := r.NetMax
-	if nm == nil {
-		nm = &NetMaxSpec{TsSecs: DefaultMonitorTs}
-	}
 	return core.Options{
 		Ts:            nm.TsSecs,
 		Beta:          nm.Beta,
@@ -157,19 +154,15 @@ func (r *Manifest) buildNetwork() (*simnet.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := r.Seed
-	if n.Seed != nil {
-		seed = *n.Seed
-	}
 	switch n.Kind {
 	case "heterogeneous":
-		return simnet.NewHeterogeneousPeriod(topo, seed, n.HorizonSecs, n.PeriodSecs), nil
+		return simnet.NewHeterogeneousPeriod(topo, *n.Seed, n.HorizonSecs, n.PeriodSecs), nil
 	case "homogeneous":
 		return simnet.NewHomogeneous(topo), nil
 	case "static":
 		return simnet.NewStatic(topo), nil
 	case "shuffled":
-		return simnet.NewShuffledRates(topo, seed, n.HorizonSecs, n.PeriodSecs), nil
+		return simnet.NewShuffledRates(topo, *n.Seed, n.HorizonSecs, n.PeriodSecs), nil
 	}
 	return nil, fmt.Errorf("scenario %q: unknown network kind %q", r.Name, n.Kind)
 }
@@ -226,11 +219,7 @@ func (r *Manifest) buildFailures() (*simnet.FailureSchedule, error) {
 	s := simnet.NewFailureSchedule()
 	s.DetectSecs = f.DetectSecs
 	if rc := f.RandomChurn; rc != nil {
-		seed := r.Seed
-		if rc.Seed != nil {
-			seed = *rc.Seed
-		}
-		churn := simnet.NewRandomChurn(r.Workers, seed, rc.HorizonSecs, rc.CrashesPerWorker, rc.MeanDownSecs)
+		churn := simnet.NewRandomChurn(r.Workers, *rc.Seed, rc.HorizonSecs, rc.CrashesPerWorker, rc.MeanDownSecs)
 		for _, ev := range churn.Events() {
 			s.Crash(ev.Worker, ev.Start, ev.End)
 		}
@@ -293,12 +282,8 @@ func (m *Manifest) BuildLive() (live.Config, live.Hub, func() error, error) {
 		Duration:   time.Duration(l.DurationSecs * float64(time.Second)),
 		Iterations: l.Iterations,
 		Codec:      cdc,
-	}
-	switch {
-	case l.PullTimeoutSecs < 0:
-		cfg.PullTimeout = -1
-	default:
-		cfg.PullTimeout = time.Duration(l.PullTimeoutSecs * float64(time.Second))
+		// A negative manifest timeout disables deadlines, as zero does here.
+		PullTimeout: time.Duration(max(l.PullTimeoutSecs, 0) * float64(time.Second)),
 	}
 	for _, ev := range l.Churn {
 		cfg.Churn = append(cfg.Churn, live.ChurnEvent{

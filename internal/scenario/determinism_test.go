@@ -8,6 +8,7 @@ import (
 	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
+	"netmax/internal/policy"
 	"netmax/internal/simnet"
 )
 
@@ -80,7 +81,7 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 	t.Run("netmax static", func(t *testing.T) {
 		cfg := flagConfig(nn.SimMobileNet, data.SynthMNIST, workers, epochs, seed,
 			simnet.NewStatic(simnet.PaperCluster(workers)))
-		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs})
+		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs, Beta: core.DefaultBeta, PolicyRounds: policy.DefaultRounds})
 
 		m := &Manifest{
 			Name: "gate-netmax-static", Model: "MobileNet", Dataset: "MNIST",
@@ -100,7 +101,7 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 		// seed — all defaults in the manifest path.
 		cfg := flagConfig(nn.SimMobileNet, data.SynthMNIST, workers, epochs, seed,
 			simnet.NewHeterogeneousPeriod(simnet.PaperCluster(workers), seed, DefaultHorizon, DefaultSlowPeriod))
-		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs})
+		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs, Beta: core.DefaultBeta, PolicyRounds: policy.DefaultRounds})
 
 		m := &Manifest{
 			Name: "gate-netmax-het", Model: "MobileNet", Dataset: "MNIST",
@@ -142,7 +143,7 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 		fs.DetectSecs = 0.5
 		fs.Crash(1, 2, 5).Hang(2, 1, 3)
 		cfg.Failures = fs
-		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs, StalePeriods: 2})
+		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs, Beta: core.DefaultBeta, PolicyRounds: policy.DefaultRounds, StalePeriods: 2})
 
 		m := &Manifest{
 			Name: "gate-failures", Model: "MobileNet", Dataset: "MNIST",

@@ -34,11 +34,13 @@ import (
 	"strings"
 	"time"
 
+	"netmax/internal/baselines"
 	"netmax/internal/codec"
 	"netmax/internal/core"
 	"netmax/internal/data"
 	"netmax/internal/live"
 	"netmax/internal/nn"
+	"netmax/internal/policy"
 	"netmax/internal/simnet"
 )
 
@@ -64,7 +66,7 @@ type Manifest struct {
 	// dpsgd, prague, ps-sync, ps-async. Live runtime runs NetMax.
 	Algorithm string `json:"algorithm,omitempty"`
 	// HopStaleness is Hop's staleness bound (algorithm "hop" only;
-	// 0 selects the baseline default).
+	// default baselines.DefaultHopStaleness).
 	HopStaleness int `json:"hop_staleness,omitempty"`
 	// Model is an nn model-zoo name: MobileNet, ResNet18 (default),
 	// ResNet50, VGG19, GoogLeNet.
@@ -218,7 +220,8 @@ type NetMaxSpec struct {
 	TsSecs float64 `json:"ts_secs,omitempty"`
 	// Beta is the EMA smoothing factor (default core.DefaultBeta).
 	Beta float64 `json:"beta,omitempty"`
-	// PolicyRounds sets Algorithm 3's K and R grids (default 10).
+	// PolicyRounds sets Algorithm 3's K and R grids (default
+	// policy.DefaultRounds).
 	PolicyRounds int `json:"policy_rounds,omitempty"`
 	// UniformPolicy disables the adaptive policy (the uniform ablation).
 	UniformPolicy bool `json:"uniform_policy,omitempty"`
@@ -470,8 +473,11 @@ func (m *Manifest) Resolved() *Manifest {
 				nm.Beta = core.DefaultBeta
 			}
 			if nm.PolicyRounds == 0 {
-				nm.PolicyRounds = 10
+				nm.PolicyRounds = policy.DefaultRounds
 			}
+		}
+		if r.Algorithm == "hop" && r.HopStaleness == 0 {
+			r.HopStaleness = baselines.DefaultHopStaleness
 		}
 	}
 	return r
@@ -515,6 +521,14 @@ func (m *Manifest) ApplyQuick() *Manifest {
 // usesMonitor reports whether the algorithm consumes the NetMax spec.
 func usesMonitor(algo string) bool {
 	return algo == "netmax" || algo == "adpsgd-monitor"
+}
+
+// runsOnEventLoop reports whether the algorithm runs on engine.RunAsync,
+// the only engine loop that encodes pulls with the codec and injects the
+// failure schedule; the other baselines charge the raw model size and never
+// fail.
+func runsOnEventLoop(algo string) bool {
+	return usesMonitor(algo) || algo == "adpsgd" || algo == "saps"
 }
 
 var engineAlgorithms = []string{
@@ -707,6 +721,14 @@ func validateEngine(e *errorList, m, r *Manifest) {
 	}
 	if r.NetMax != nil && !usesMonitor(r.Algorithm) {
 		e.addf("netmax block is only valid with algorithms netmax and adpsgd-monitor (got %q)", r.Algorithm)
+	}
+	if knownEngineAlgorithm(r.Algorithm) && !runsOnEventLoop(r.Algorithm) {
+		if r.Codec != nil {
+			e.addf("codec is only valid with algorithms netmax, adpsgd, adpsgd-monitor and saps (algorithm %q ignores it)", r.Algorithm)
+		}
+		if r.Failures != nil {
+			e.addf("failures is only valid with algorithms netmax, adpsgd, adpsgd-monitor and saps (algorithm %q ignores it)", r.Algorithm)
+		}
 	}
 	if r.Epochs < 1 {
 		e.addf("epochs must be >= 1, got %d", r.Epochs)

@@ -9,8 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"netmax/internal/baselines"
+	"netmax/internal/core"
 	"netmax/internal/engine"
 	"netmax/internal/live"
+	"netmax/internal/policy"
+	"netmax/internal/simnet"
 )
 
 // minimal returns the smallest interesting engine manifest: quick to run,
@@ -141,6 +145,82 @@ func TestValidateRejectsMalformed(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, c.fragment)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsBlocksTheAlgorithmIgnores: only the algorithms on the
+// asynchronous event loop encode pulls with a codec and inject failures.
+// The others would run as if the block were absent, so naming one is an
+// error, not a silently ignored setting.
+func TestValidateRejectsBlocksTheAlgorithmIgnores(t *testing.T) {
+	blocks := map[string]string{
+		"codec":    `"codec": {"name": "topk", "topk_frac": 0.1}`,
+		"failures": `"failures": {"events": [{"kind": "leave", "worker": 1, "at": 0}]}`,
+	}
+	for _, algo := range engineAlgorithms {
+		for block, raw := range blocks {
+			_, err := Parse([]byte(`{"name": "x", "workers": 4, "algorithm": "` + algo + `", ` + raw + `}`))
+			if runsOnEventLoop(algo) {
+				if err != nil {
+					t.Errorf("%s with %s: %v", algo, block, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), block+" is only valid with") {
+				t.Errorf("%s with %s: error %v, want a rejection", algo, block, err)
+			}
+		}
+	}
+	var ignoring []string
+	for _, algo := range engineAlgorithms {
+		if !runsOnEventLoop(algo) {
+			ignoring = append(ignoring, algo)
+		}
+	}
+	if want := []string{"hop", "allreduce", "dpsgd", "prague", "ps-sync", "ps-async"}; !reflect.DeepEqual(ignoring, want) {
+		t.Fatalf("algorithms rejecting codec and failures = %v, want %v", ignoring, want)
+	}
+}
+
+// TestResolvedMakesEveryDefaultExplicit pins where each run default is
+// decided: Resolved writes the owning package's constant into the
+// manifest, and the builders below it take every value as given.
+func TestResolvedMakesEveryDefaultExplicit(t *testing.T) {
+	nm := (&Manifest{Name: "x"}).Resolved()
+	if got, want := *nm.NetMax, (NetMaxSpec{TsSecs: DefaultMonitorTs, Beta: core.DefaultBeta, PolicyRounds: policy.DefaultRounds}); got != want {
+		t.Errorf("netmax block = %+v, want %+v", got, want)
+	}
+	if nm.Network.Seed == nil || *nm.Network.Seed != nm.Seed {
+		t.Errorf("network seed = %v, want the run seed %d", nm.Network.Seed, nm.Seed)
+	}
+	hop := (&Manifest{Name: "x", Algorithm: "hop"}).Resolved()
+	if hop.HopStaleness != baselines.DefaultHopStaleness {
+		t.Errorf("hop_staleness = %d, want %d", hop.HopStaleness, baselines.DefaultHopStaleness)
+	}
+	churn := (&Manifest{Name: "x", Seed: 7, Failures: &FailureSpec{
+		RandomChurn: &RandomChurnSpec{HorizonSecs: 10, CrashesPerWorker: 1, MeanDownSecs: 1},
+	}}).Resolved()
+	if churn.Failures.DetectSecs != simnet.DefaultDetectSecs {
+		t.Errorf("detect_secs = %v, want %v", churn.Failures.DetectSecs, simnet.DefaultDetectSecs)
+	}
+	if rc := churn.Failures.RandomChurn; rc.Seed == nil || *rc.Seed != 7 {
+		t.Errorf("random_churn seed = %v, want the run seed 7", rc.Seed)
+	}
+	l := (&Manifest{Name: "x", Runtime: "live", Live: &LiveSpec{Iterations: 1}}).Resolved().Live
+	if time.Duration(l.TsMillis)*time.Millisecond != live.DefaultTs || l.PullTimeoutSecs != live.DefaultPullTimeout.Seconds() {
+		t.Errorf("live block = %+v, want ts %v and pull timeout %v", l, live.DefaultTs, live.DefaultPullTimeout)
+	}
+
+	// A resolved hop manifest runs: its bound is never the 0 under which
+	// no worker may advance.
+	m := minimal()
+	m.Algorithm, m.Epochs = "hop", 1
+	rep, err := Run(m, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Engine.Epochs != 1 {
+		t.Fatalf("hop run completed %d epochs, want 1", rep.Engine.Epochs)
 	}
 }
 

@@ -70,7 +70,8 @@ type GridSpec struct {
 	// Algorithms lists the algorithm arms. Base blocks an arm cannot carry
 	// are dropped during expansion: the netmax block for monitor-free
 	// algorithms, hop_staleness for non-hop ones, fixed_blend under
-	// adpsgd-monitor (which implies it).
+	// adpsgd-monitor (which implies it). A codec or failures block is not
+	// dropped: an arm whose algorithm would ignore it fails validation.
 	Algorithms []string `json:"algorithms,omitempty"`
 	// Codecs lists the codec arms; an entry with name "" means "no codec"
 	// (the uncompressed bandwidth model).

@@ -271,11 +271,3 @@ func (s *FailureSchedule) AliveInto(dst []bool, now float64) {
 		dst[i] = !s.Down(i, now)
 	}
 }
-
-// Detect returns the configured detection deadline, defaulting when unset.
-func (s *FailureSchedule) Detect() float64 {
-	if s.DetectSecs > 0 {
-		return s.DetectSecs
-	}
-	return DefaultDetectSecs
-}

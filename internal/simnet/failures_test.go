@@ -161,9 +161,6 @@ func TestEmptyScheduleIsInert(t *testing.T) {
 	if up, ok := s.NextUp(0, 7); !ok || up != 7 {
 		t.Fatal("NextUp on empty schedule must be identity")
 	}
-	if s.Detect() != DefaultDetectSecs {
-		t.Fatalf("default Detect = %v", s.Detect())
-	}
 }
 
 // TransitionIn reports whether any membership boundary — a crash, a leave,

@@ -218,15 +218,13 @@ type persistentConn struct {
 }
 
 // roundTrip sends one request frame to addr and reads the response. A dead
-// connection is redialed and the request retried once — but only when
-// retrying cannot duplicate a side effect: a non-idempotent request whose
-// write already succeeded (the failure was on the response read) may have
-// been processed by the server, so it is not re-sent. A positive timeout
+// connection is redialed and the request retried once; every request is
+// idempotent, so a retry after a lost response is safe. A positive timeout
 // bounds every step — dial, write, response read — so a hung (not closed)
 // peer costs at most one deadline instead of blocking the caller forever.
 // The returned body aliases the connection's read buffer and is valid
 // until the next call.
-func (pc *persistentConn) roundTrip(addr string, timeout time.Duration, reqKind uint8, reqBody []byte, wantKind uint8, idempotent bool) ([]byte, uint8, error) {
+func (pc *persistentConn) roundTrip(addr string, timeout time.Duration, reqKind uint8, reqBody []byte, wantKind uint8) ([]byte, uint8, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := pc.ensure(addr, timeout); err != nil {
@@ -258,9 +256,6 @@ func (pc *persistentConn) roundTrip(addr string, timeout time.Duration, reqKind 
 		if err != nil {
 			pc.drop()
 			lastErr = err
-			if !idempotent {
-				return nil, 0, fmt.Errorf("transport: %s: response lost after delivered request (not retried): %w", addr, err)
-			}
 			if isTimeout(err) {
 				return nil, 0, fmt.Errorf("transport: %s: %w", addr, err)
 			}
@@ -346,7 +341,7 @@ func (p *TCPPeer) PullModel() (*Pull, error) {
 	defer p.mu.Unlock()
 	p.wbuf = appendPullReq(p.wbuf[:0], p.From)
 	// Pulls are read-only on the server, so lost responses retry safely.
-	body, codecID, err := p.pc.roundTrip(p.Addr, p.Timeout, msgPull, p.wbuf, msgPullResp, true)
+	body, codecID, err := p.pc.roundTrip(p.Addr, p.Timeout, msgPull, p.wbuf, msgPullResp)
 	if err != nil {
 		if errors.Is(err, errProtocol) {
 			return nil, err // version skew / framing bug — peer is not down
@@ -486,15 +481,14 @@ func (c *TCPMonitorClient) SetTimeout(d time.Duration) {
 }
 
 // ReportTime sends one iteration-time observation along with the encoded
-// byte size of the transfer it measured. Reports are not idempotent (the
-// monitor accumulates byte totals), so a report whose ack is lost returns
-// an error rather than risking a duplicate; callers treat reports as
-// best-effort and simply carry the next observation.
+// byte size of the transfer it measured. A report is idempotent — the
+// monitor keeps only the latest time per link — so one whose ack is lost
+// is retried like a pull.
 func (c *TCPMonitorClient) ReportTime(from, to int, secs float64, bytes int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.wbuf = appendReport(c.wbuf[:0], from, to, secs, bytes)
-	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgReport, c.wbuf, msgReportAck, false)
+	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgReport, c.wbuf, msgReportAck)
 	if err != nil {
 		return err
 	}
@@ -508,7 +502,7 @@ func (c *TCPMonitorClient) ReportTime(from, to int, secs float64, bytes int64) e
 func (c *TCPMonitorClient) FetchPolicy() ([][]float64, float64, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgPolicy, c.wbuf[:0], msgPolicyResp, true)
+	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgPolicy, c.wbuf[:0], msgPolicyResp)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -84,7 +84,11 @@ func (p *Pull) Decode(prior []float64) ([]float64, error) {
 	if p.vec != nil {
 		return p.vec, nil
 	}
-	return p.codec.Decode(p.payload, p.dim, priorFor(prior, p.dim))
+	out := make([]float64, p.dim)
+	if err := p.codec.DecodeInto(p.payload, out, priorFor(prior, p.dim)); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // MonitorClient is a worker's view of the Network Monitor.

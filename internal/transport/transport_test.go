@@ -255,6 +255,37 @@ func TestTCPPeerSurvivesServerRestart(t *testing.T) {
 	}
 }
 
+// TestTCPReportSurvivesServerRestart: a report is idempotent, so when the
+// monitor restarts under a persistent connection the client redials and
+// re-sends it instead of returning the lost ack as an error.
+func TestTCPReportSurvivesServerRestart(t *testing.T) {
+	srv, err := ServeMonitor("127.0.0.1:0", func(int, int, float64, int64) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	client := &TCPMonitorClient{Addr: addr}
+	defer client.Close()
+	if err := client.ReportTime(0, 1, 1.5, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan float64, 2)
+	srv2, err := ServeMonitor(addr, func(_, _ int, secs float64, _ int64) { got <- secs })
+	if err != nil {
+		t.Skipf("could not rebind %s: %v", addr, err)
+	}
+	defer srv2.Close()
+	if err := client.ReportTime(0, 1, 2.5, 8); err != nil {
+		t.Fatalf("report after restart: %v", err)
+	}
+	if secs := <-got; secs != 2.5 {
+		t.Fatalf("restarted monitor received %v", secs)
+	}
+}
+
 func TestTCPHubPeerBeforeRegisterRecovers(t *testing.T) {
 	hub, err := NewTCPHub()
 	if err != nil {
